@@ -16,9 +16,11 @@
 use std::time::Duration;
 
 use thermsched_service::{
-    BackendKind, ClockKind, FaultPlan, Frontend, FrontendConfig, JobOutcome, Priority, Rejected,
-    RetryPolicy, ScenarioSpec, ServiceConfig, ServiceReport, ServiceRunner, StoreKind, Submission,
+    BackendKind, ClockKind, FaultPlan, Frontend, FrontendConfig, JobOutcome, JobResult,
+    MultiprocConfig, MultiprocCoordinator, Priority, Rejected, RetryPolicy, ScenarioSpec,
+    ServiceConfig, ServiceReport, ServiceRunner, ServiceStats, StoreKind, Submission,
 };
+use thermsched_wire::{JsonValue, Wire};
 
 fn run(spec: &ScenarioSpec, config: ServiceConfig) -> ServiceReport {
     let corpus = spec.build().expect("spec is valid");
@@ -269,4 +271,126 @@ fn frontend_drain_never_loses_a_submission() {
         stats.latency.samples,
         stats.completed + stats.failed + stats.panicked + stats.deadline_exceeded
     );
+}
+
+/// The cross-executor contract: one faulted corpus (injected panics,
+/// errors, delays and store poisoning, with retries and an effort-budget
+/// deadline) under the virtual clock resolves to byte-identical per-job
+/// results and equal outcome, fault, retry and latency accounting whether
+/// it runs through the batch runner (1 and 4 workers), the streaming
+/// front-end (every corpus job submitted in order) or the multi-process
+/// coordinator (2 worker processes).
+#[test]
+fn every_executor_resolves_a_faulted_corpus_identically() {
+    let corpus = ScenarioSpec {
+        seed: 2024,
+        scenarios: 4,
+        stc_limits: vec![40.0, 80.0],
+        ..ScenarioSpec::default()
+    }
+    .build()
+    .expect("spec is valid");
+    let service = |workers: usize| ServiceConfig {
+        workers,
+        faults: FaultPlan {
+            seed: 32,
+            panic_rate: 0.15,
+            error_rate: 0.4,
+            delay_rate: 0.2,
+            delay_seconds: 0.002,
+            poison_rate: 0.1,
+        },
+        retry: RetryPolicy::retries(2),
+        clock: ClockKind::Virtual,
+        // Tight enough to interrupt the largest scenario's jobs, loose
+        // enough to let the others complete.
+        deadline_effort: Some(17.0),
+        ..ServiceConfig::default()
+    };
+    let jobs_bytes = |jobs: &[JobResult]| {
+        JsonValue::Array(jobs.iter().map(Wire::to_wire).collect())
+            .render_compact()
+            .expect("job results render")
+    };
+    let runner = |workers: usize| {
+        let report = ServiceRunner::new(service(workers))
+            .expect("config is valid")
+            .run(&corpus)
+            .expect("batch runs");
+        (report.jobs().to_vec(), report.stats().clone())
+    };
+
+    let (reference, stats) = runner(1);
+    assert_eq!(reference.len(), corpus.jobs().len());
+    assert!(stats.injected_faults > 0, "the plan must fire");
+    assert!(stats.retried_attempts > 0, "retries must engage");
+    // Every executed outcome kind occurs, so each counter is compared on
+    // a non-zero value.
+    assert!(
+        stats.completed > 0
+            && stats.failed > 0
+            && stats.panicked > 0
+            && stats.deadline_exceeded > 0,
+        "the plan must produce every outcome kind: {stats:?}"
+    );
+    assert!(stats.latency.samples > 0 && stats.latency.max_seconds > 0.0);
+
+    let frontend = Frontend::start(
+        FrontendConfig {
+            service: service(2),
+            queue_capacity: corpus.jobs().len(),
+            shed_on_full: false,
+        },
+        corpus.clone(),
+    )
+    .expect("frontend starts");
+    let handles: Vec<_> = corpus
+        .jobs()
+        .iter()
+        .map(|job| frontend.submit(Submission::from_job(job)))
+        .collect();
+    let streamed: Vec<JobResult> = handles.iter().map(|handle| handle.wait()).collect();
+    let streamed_stats = frontend.drain(Duration::from_secs(120)).stats;
+
+    let sharded = MultiprocCoordinator::new(MultiprocConfig {
+        processes: 2,
+        program: env!("CARGO_BIN_EXE_thermsched").into(),
+        args: vec!["worker".to_owned()],
+        service: service(1),
+    })
+    .expect("config is valid")
+    .run(&corpus)
+    .expect("sharded run succeeds");
+
+    let candidates = [
+        ("runner, 4 workers", runner(4)),
+        ("frontend", (streamed, streamed_stats)),
+        (
+            "multiproc, 2 processes",
+            (sharded.jobs().to_vec(), sharded.stats().clone()),
+        ),
+    ];
+    for (executor, (jobs, other)) in &candidates {
+        assert_eq!(
+            jobs_bytes(jobs),
+            jobs_bytes(&reference),
+            "{executor}: per-job results diverged"
+        );
+        let counts = |s: &ServiceStats| {
+            (
+                s.completed,
+                s.failed,
+                s.panicked,
+                s.deadline_exceeded,
+                s.injected_faults,
+                s.retried_attempts,
+            )
+        };
+        assert_eq!(
+            counts(other),
+            counts(&stats),
+            "{executor}: counters diverged"
+        );
+        assert_eq!(other.latency, stats.latency, "{executor}: latency diverged");
+    }
 }
