@@ -1,6 +1,7 @@
 //! The streaming front-end: a long-lived submission API with first-class
-//! failure handling, layered on the same execution machinery as
-//! [`crate::ServiceRunner`].
+//! failure handling — one of the three dispatch fronts over the shared
+//! execution core ([`crate::executor`]) that also runs
+//! [`crate::ServiceRunner`] batches.
 //!
 //! Where the batch runner consumes a whole [`Corpus`] at once, the
 //! [`Frontend`] stays up and accepts [`Submission`]s one at a time, each
@@ -31,25 +32,19 @@
 //! effects (rejections, displacement) and wall-clock stats depend on
 //! timing.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use thermsched::{
-    Engine, NestedParallelismGuard, OperatorCacheHandle, SchedulerConfig, SessionCacheHandle,
-    StoreStats, TraceProfile,
-};
-use thermsched_obs::{Histogram, MetricsRegistry, Tracer};
-use thermsched_thermal::ThermalBackend;
+use thermsched::{SchedulerConfig, TraceProfile};
+use thermsched_obs::{MetricsRegistry, Tracer};
 
-use crate::report::LatencyStats;
-use crate::runner::{build_backends, execute_job, prewarm_same_shape, JobContext, LATENCY_BUCKETS};
+use crate::executor::{Dispatch, Executor};
 use crate::{
-    ClockKind, Corpus, JobOutcome, JobResult, JobSpec, Result, Scenario, ServiceConfig,
-    ServiceError, ServiceStats,
+    Corpus, JobOutcome, JobResult, JobSpec, Result, ServiceConfig, ServiceError, ServiceStats,
 };
 
 /// Why a submission was refused admission (it never entered the queue).
@@ -362,6 +357,19 @@ struct Pending {
     enqueued_at: Instant,
 }
 
+impl Pending {
+    /// Resolves this queued job as shed without running it.
+    fn shed(self, shared: &Shared, cause: ShedCause) {
+        shared.resolve_unrun(
+            &self.handle,
+            self.seq,
+            &self.spec.label,
+            self.spec.scenario,
+            JobOutcome::Shed(cause),
+        );
+    }
+}
+
 /// Queue state behind the one front-end lock.
 struct QueueState {
     /// Admitted jobs keyed by (priority rank, sequence): `pop_first` is the
@@ -380,11 +388,7 @@ struct QueueState {
 /// Everything workers and the handle share.
 struct Shared {
     config: FrontendConfig,
-    scenarios: Vec<Scenario>,
-    backends: Vec<Arc<dyn ThermalBackend>>,
-    caches: Vec<SessionCacheHandle>,
-    operator_cache: OperatorCacheHandle,
-    prewarmed_sessions: usize,
+    executor: Executor<'static>,
     queue: Mutex<QueueState>,
     /// Signalled on enqueue and on drain (wakes idle workers).
     work_ready: Condvar,
@@ -394,25 +398,8 @@ struct Shared {
     /// Drain cancellation: in-flight jobs interrupt at their next
     /// scheduling checkpoint once set.
     cancel: AtomicBool,
-    completed: AtomicUsize,
-    failed: AtomicUsize,
-    panicked: AtomicUsize,
-    deadline_exceeded: AtomicUsize,
-    shed: AtomicUsize,
-    rejected: AtomicUsize,
-    retried_attempts: AtomicUsize,
-    injected_faults: AtomicUsize,
-    warm_cache_hits: AtomicUsize,
-    cached_validations: AtomicUsize,
-    latencies: Mutex<Vec<f64>>,
-    /// Run-level tracer the workers derive job-scoped handles from
-    /// (disabled unless the front-end was started via
-    /// [`Frontend::start_traced`]).
-    tracer: Tracer,
     /// Registry the lifetime stats are absorbed into at drain.
     registry: MetricsRegistry,
-    /// Per-job latency histogram (same buckets as the batch runner).
-    latency_histogram: Histogram,
 }
 
 impl Shared {
@@ -420,17 +407,28 @@ impl Shared {
         self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Records a resolved outcome into the lifetime counters.
-    fn tally(&self, outcome: &JobOutcome) {
-        let counter = match outcome {
-            JobOutcome::Completed(_) => &self.completed,
-            JobOutcome::Failed { .. } => &self.failed,
-            JobOutcome::Panicked { .. } => &self.panicked,
-            JobOutcome::DeadlineExceeded { .. } => &self.deadline_exceeded,
-            JobOutcome::Shed(_) => &self.shed,
-            JobOutcome::Rejected(_) => &self.rejected,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+    /// Resolves a job that never ran (rejected or shed) and counts it.
+    fn resolve_unrun(
+        &self,
+        handle: &JobHandle,
+        seq: u64,
+        label: &str,
+        scenario: usize,
+        outcome: JobOutcome,
+    ) {
+        let scenario_name = self
+            .executor
+            .scenarios()
+            .get(scenario)
+            .map_or("unknown", |s| s.name.as_str());
+        self.executor.tally_unrun(&outcome);
+        handle.resolve(JobResult {
+            index: seq as usize,
+            scenario,
+            scenario_name: scenario_name.to_owned(),
+            label: label.to_owned(),
+            outcome,
+        });
     }
 }
 
@@ -499,8 +497,8 @@ impl Frontend {
     /// [`Self::start`] with observability attached: every job's span tree
     /// is recorded into `tracer` (the same per-job structure the batch
     /// runner's [`crate::ServiceRunner::run_traced`] produces, since both
-    /// funnel through the shared `execute_job`), and the lifetime stats are
-    /// absorbed into `registry` at drain alongside the per-job latency
+    /// run jobs through the same execution core), and the lifetime stats
+    /// are absorbed into `registry` at drain alongside the per-job latency
     /// histogram.
     ///
     /// # Errors
@@ -519,33 +517,9 @@ impl Frontend {
                 problem: "must be at least 1",
             });
         }
-        let operator_cache = OperatorCacheHandle::new();
-        let backends = {
-            let mut span = tracer.span("backend.build");
-            span.attr("scenarios", corpus.scenarios().len());
-            span.attr("backend", config.service.backend.label());
-            build_backends(&config.service, &corpus, &operator_cache)?
-        };
-        let caches: Vec<SessionCacheHandle> = corpus
-            .scenarios()
-            .iter()
-            .map(|_| config.service.store.handle())
-            .collect();
-        let prewarmed_sessions = if config.service.batch_same_shape {
-            let mut span = tracer.span("prewarm");
-            let prewarmed = prewarm_same_shape(&config.service, &corpus, &backends, &caches);
-            span.attr("sessions", prewarmed);
-            prewarmed
-        } else {
-            0
-        };
         let shared = Arc::new(Shared {
             config,
-            scenarios: corpus.scenarios().to_vec(),
-            backends,
-            caches,
-            operator_cache,
-            prewarmed_sessions,
+            executor: Executor::build(config.service, Cow::Owned(corpus), tracer)?,
             queue: Mutex::new(QueueState {
                 queue: BTreeMap::new(),
                 accepting: true,
@@ -555,20 +529,7 @@ impl Frontend {
             work_ready: Condvar::new(),
             idle: Condvar::new(),
             cancel: AtomicBool::new(false),
-            completed: AtomicUsize::new(0),
-            failed: AtomicUsize::new(0),
-            panicked: AtomicUsize::new(0),
-            deadline_exceeded: AtomicUsize::new(0),
-            shed: AtomicUsize::new(0),
-            rejected: AtomicUsize::new(0),
-            retried_attempts: AtomicUsize::new(0),
-            injected_faults: AtomicUsize::new(0),
-            warm_cache_hits: AtomicUsize::new(0),
-            cached_validations: AtomicUsize::new(0),
-            latencies: Mutex::new(Vec::new()),
-            tracer: tracer.clone(),
             registry: registry.clone(),
-            latency_histogram: registry.histogram("job.latency_seconds", LATENCY_BUCKETS),
         });
         let workers = (0..shared.config.service.workers)
             .map(|_| {
@@ -595,10 +556,10 @@ impl Frontend {
 
         let rejection = if !state.accepting {
             Some(Rejected::Draining)
-        } else if submission.scenario >= self.shared.scenarios.len() {
+        } else if submission.scenario >= self.shared.executor.scenarios().len() {
             Some(Rejected::UnknownScenario {
                 scenario: submission.scenario,
-                scenario_count: self.shared.scenarios.len(),
+                scenario_count: self.shared.executor.scenarios().len(),
             })
         } else if submission
             .deadline_effort
@@ -610,14 +571,13 @@ impl Frontend {
         };
         if let Some(rejection) = rejection {
             drop(state);
-            let result = self.unrun_result(
+            self.shared.resolve_unrun(
+                &handle,
                 seq,
                 &submission.label,
                 submission.scenario,
                 JobOutcome::Rejected(rejection),
             );
-            self.shared.tally(&result.outcome);
-            handle.resolve(result);
             return handle;
         }
 
@@ -632,27 +592,19 @@ impl Frontend {
                     .queue
                     .pop_last()
                     .expect("non-empty: len >= capacity >= 1");
-                let result = self.unrun_result(
-                    victim.seq,
-                    &victim.spec.label,
-                    victim.spec.scenario,
-                    JobOutcome::Shed(ShedCause::Displaced),
-                );
-                self.shared.tally(&result.outcome);
-                victim.handle.resolve(result);
+                victim.shed(&self.shared, ShedCause::Displaced);
             } else {
                 let rejection = Rejected::QueueFull {
                     capacity: self.shared.config.queue_capacity,
                 };
                 drop(state);
-                let result = self.unrun_result(
+                self.shared.resolve_unrun(
+                    &handle,
                     seq,
                     &submission.label,
                     submission.scenario,
                     JobOutcome::Rejected(rejection),
                 );
-                self.shared.tally(&result.outcome);
-                handle.resolve(result);
                 return handle;
             }
         }
@@ -676,28 +628,6 @@ impl Frontend {
         drop(state);
         self.shared.work_ready.notify_one();
         handle
-    }
-
-    /// Builds the result for a job that never ran (rejected or shed).
-    fn unrun_result(
-        &self,
-        seq: u64,
-        label: &str,
-        scenario: usize,
-        outcome: JobOutcome,
-    ) -> JobResult {
-        let scenario_name = self
-            .shared
-            .scenarios
-            .get(scenario)
-            .map_or("unknown", |s| s.name.as_str());
-        JobResult {
-            index: seq as usize,
-            scenario,
-            scenario_name: scenario_name.to_owned(),
-            label: label.to_owned(),
-            outcome,
-        }
     }
 
     /// Gracefully drains the front-end:
@@ -743,14 +673,7 @@ impl Frontend {
         // Phase 2: shed the leftovers, cancel what is running.
         let mut shed_at_drain = 0;
         while let Some((_, victim)) = state.queue.pop_first() {
-            let result = self.unrun_result(
-                victim.seq,
-                &victim.spec.label,
-                victim.spec.scenario,
-                JobOutcome::Shed(ShedCause::Drained),
-            );
-            self.shared.tally(&result.outcome);
-            victim.handle.resolve(result);
+            victim.shed(&self.shared, ShedCause::Drained);
             shed_at_drain += 1;
         }
         let cancelled_in_flight = state.in_flight;
@@ -763,59 +686,15 @@ impl Frontend {
             let _ = worker.join();
         }
 
-        let stats = self.stats();
-        self.shared.registry.absorb(&stats.metrics());
+        let (stats, metrics) = self.shared.executor.finish(
+            self.shared.config.service.workers,
+            self.started.elapsed().as_secs_f64(),
+        );
+        self.shared.registry.absorb(&metrics);
         DrainReport {
             stats,
             shed_at_drain,
             cancelled_in_flight,
-        }
-    }
-
-    /// Lifetime statistics of the front-end so far.
-    fn stats(&self) -> ServiceStats {
-        let s = &self.shared;
-        let mut store = StoreStats::default();
-        for cache in &s.caches {
-            let c = cache.stats();
-            store.lookups += c.lookups;
-            store.hits += c.hits;
-            store.insertions += c.insertions;
-            store.contended_locks += c.contended_locks;
-        }
-        let latency =
-            LatencyStats::from_samples(&s.latencies.lock().unwrap_or_else(PoisonError::into_inner));
-        let job_count = s.lock_queue().submitted as usize;
-        let wall_seconds = self.started.elapsed().as_secs_f64();
-        let resolved = s.completed.load(Ordering::Relaxed)
-            + s.failed.load(Ordering::Relaxed)
-            + s.panicked.load(Ordering::Relaxed)
-            + s.deadline_exceeded.load(Ordering::Relaxed);
-        ServiceStats {
-            workers: s.config.service.workers,
-            store_name: s.config.service.store.name(),
-            shard_count: s.config.service.store.shard_count(),
-            backend_name: s.config.service.backend.label(),
-            operator_cache_enabled: s.config.service.operator_cache,
-            operator_cache: s.operator_cache.stats(),
-            scenario_count: s.scenarios.len(),
-            job_count,
-            completed: s.completed.load(Ordering::Relaxed),
-            failed: s.failed.load(Ordering::Relaxed),
-            panicked: s.panicked.load(Ordering::Relaxed),
-            deadline_exceeded: s.deadline_exceeded.load(Ordering::Relaxed),
-            shed: s.shed.load(Ordering::Relaxed),
-            rejected: s.rejected.load(Ordering::Relaxed),
-            retried_attempts: s.retried_attempts.load(Ordering::Relaxed),
-            injected_faults: s.injected_faults.load(Ordering::Relaxed),
-            worker_crashes: 0,
-            latency,
-            wall_seconds,
-            jobs_per_second: resolved as f64 / wall_seconds.max(1e-9),
-            cached_validations: s.cached_validations.load(Ordering::Relaxed),
-            warm_cache_hits: s.warm_cache_hits.load(Ordering::Relaxed),
-            prewarmed_sessions: s.prewarmed_sessions,
-            store,
         }
     }
 }
@@ -831,12 +710,11 @@ impl Drop for Frontend {
     }
 }
 
-/// The worker loop: pop the highest-priority pending job, execute it with
-/// the shared fault/retry/deadline machinery, resolve its handle, repeat —
-/// until the queue is closed and empty.
+/// The worker loop: pop the highest-priority pending job, run it through
+/// the execution core, resolve its handle, repeat — until the queue is
+/// closed and empty.
 fn worker_loop(shared: &Shared) {
-    let _guard = NestedParallelismGuard::enter();
-    let mut engines: HashMap<usize, Engine<'_>> = HashMap::new();
+    let mut worker = shared.executor.worker();
     loop {
         let pending = {
             let mut state = shared.lock_queue();
@@ -855,64 +733,14 @@ fn worker_loop(shared: &Shared) {
             }
         };
         let Some(pending) = pending else { return };
-
-        let scenario = &shared.scenarios[pending.spec.scenario];
-        let deadline_effort = pending
-            .deadline_effort
-            .or(shared.config.service.deadline_effort);
-        // Time spent queued before this dispatch — interleaving-dependent,
-        // recorded only as an observed span attribute.
-        let queue_seconds = match shared.config.service.clock {
-            ClockKind::Wall => pending.enqueued_at.elapsed().as_secs_f64(),
-            ClockKind::Virtual => 0.0,
-        };
-        let execution = execute_job(
-            &JobContext {
-                job: &pending.spec,
-                job_index: pending.seq,
-                scenario,
-                backend: shared.backends[pending.spec.scenario].as_ref(),
-                cache: &shared.caches[pending.spec.scenario],
-                faults: shared.config.service.faults,
-                retry: shared.config.service.retry,
-                clock: shared.config.service.clock,
-                deadline_effort,
-                cancel: Some(&shared.cancel),
-                tracer: shared.tracer.clone(),
-                queue_seconds,
-            },
-            &mut engines,
-        );
-        let latency = match shared.config.service.clock {
-            ClockKind::Wall => pending.enqueued_at.elapsed().as_secs_f64(),
-            ClockKind::Virtual => execution.virtual_seconds,
-        };
-        shared.latency_histogram.observe(latency);
-        shared
-            .warm_cache_hits
-            .fetch_add(execution.accounting.warm_cache_hits, Ordering::Relaxed);
-        shared
-            .cached_validations
-            .fetch_add(execution.accounting.cached_validations, Ordering::Relaxed);
-        shared
-            .injected_faults
-            .fetch_add(execution.injected_faults, Ordering::Relaxed);
-        shared.retried_attempts.fetch_add(
-            execution.attempts.saturating_sub(1) as usize,
-            Ordering::Relaxed,
-        );
-        shared
-            .latencies
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(latency);
-        shared.tally(&execution.outcome);
-        let result = JobResult::new(
-            pending.seq as usize,
-            &pending.spec,
-            &scenario.name,
-            execution.outcome,
-        );
+        let (result, _) = worker.run(Dispatch {
+            index: pending.seq as usize,
+            job: &pending.spec,
+            deadline_effort: pending.deadline_effort,
+            cancel: Some(&shared.cancel),
+            queued_at: pending.enqueued_at,
+            latency_includes_queue: true,
+        });
         pending.handle.resolve(result);
 
         let mut state = shared.lock_queue();
@@ -926,7 +754,7 @@ fn worker_loop(shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FaultPlan, RetryPolicy, ScenarioSpec};
+    use crate::{ClockKind, FaultPlan, RetryPolicy, ScenarioSpec};
 
     fn tiny_corpus(scenarios: usize) -> Corpus {
         ScenarioSpec {

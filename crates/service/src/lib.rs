@@ -37,6 +37,13 @@
 //!    ([`ServiceStats::worker_crashes`]). Per-job results remain
 //!    byte-identical at any process count.
 //!
+//! The runner, the front-end and the multi-process worker are three
+//! dispatch fronts over one crate-private execution core: it builds the
+//! backends and stores, runs each job with fault injection, retries and
+//! deadlines, and tallies the counters behind [`ServiceStats`]. The fronts
+//! differ only in what runs next — an atomic index over the corpus, a
+//! priority queue with admission and drain, or job frames from a pipe.
+//!
 //! Every execution path is instrumented with [`thermsched_obs`]: pass a
 //! [`thermsched_obs::Tracer`] and [`thermsched_obs::MetricsRegistry`] to
 //! [`ServiceRunner::run_traced`], [`Frontend::start_traced`] or
@@ -82,6 +89,7 @@
 #![warn(missing_docs)]
 
 mod error;
+mod executor;
 mod fault;
 mod frontend;
 mod multiproc;

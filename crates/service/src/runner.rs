@@ -1,30 +1,24 @@
-//! The concurrent batch runner: a job queue drained by a pool of scoped
-//! worker threads with per-worker engine reuse and per-job panic isolation.
+//! The batch runner — one of the three dispatch fronts over the shared
+//! execution core ([`crate::executor`]) — and the configuration every
+//! executor runs under: a pool of scoped worker threads claims corpus jobs
+//! through one atomic index.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::ops::ControlFlow;
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::borrow::Cow;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-use thermsched::TestSession;
-use thermsched::{
-    Engine, InterruptReason, NestedParallelismGuard, OperatorCacheHandle, OperatorKey,
-    ScheduleCheckpoint, ScheduleError, ScheduleOutcome, ScheduleProgress, SessionCacheHandle,
-    StoreStats,
-};
+use thermsched::{OperatorKey, SessionCacheHandle};
 use thermsched_obs::{MetricsRegistry, Tracer};
 use thermsched_thermal::{
-    GridResolution, GridThermalSimulator, PackageConfig, PowerMap, RcThermalSimulator,
-    SessionThermalResult, ThermalBackend, TransientConfig, TransientMethod,
+    GridResolution, GridThermalSimulator, PackageConfig, RcThermalSimulator, ThermalBackend,
+    TransientConfig, TransientMethod,
 };
 
-use crate::report::LatencyStats;
+use crate::executor::{Dispatch, Executor};
 use crate::{
-    ClockKind, Corpus, FaultKind, FaultPlan, JobOutcome, JobResult, JobSpec, Result, RetryPolicy,
-    Scenario, ServiceError, ServiceReport, ServiceStats,
+    ClockKind, Corpus, FaultPlan, JobResult, Result, RetryPolicy, Scenario, ServiceError,
+    ServiceReport,
 };
 
 /// Which thermal backend validates every job of a batch.
@@ -108,7 +102,7 @@ impl BackendKind {
     }
 
     /// Builds the backend for one scenario.
-    fn build(self, scenario: &Scenario) -> Result<Arc<dyn ThermalBackend>> {
+    pub(crate) fn build(self, scenario: &Scenario) -> Result<Arc<dyn ThermalBackend>> {
         match self {
             BackendKind::RcCompact => Ok(Arc::new(RcThermalSimulator::from_floorplan(
                 scenario.sut.floorplan(),
@@ -135,7 +129,7 @@ impl BackendKind {
     /// sequential loop (rc-compact's precomputed operator, ADI's tracked
     /// stepping) opt out: prewarming them would serialise work the worker
     /// pool otherwise spreads.
-    fn batches_sessions(self) -> bool {
+    pub(crate) fn batches_sessions(self) -> bool {
         matches!(self, BackendKind::GridTransient { .. })
     }
 }
@@ -192,10 +186,10 @@ pub struct ServiceConfig {
     pub backend: BackendKind,
     /// Whether scenarios sharing a grid shape share one backend instance
     /// (and therefore its factorisations) through the run's
-    /// [`OperatorCacheHandle`]. Exact — same-shape scenarios have identical
-    /// floorplans, so the shared operator is bit-for-bit the one a private
-    /// build would produce — and on by default; the benchmarks record the
-    /// off configuration for comparison.
+    /// [`thermsched::OperatorCacheHandle`]. Exact — same-shape scenarios
+    /// have identical floorplans, so the shared operator is bit-for-bit the
+    /// one a private build would produce — and on by default; the
+    /// benchmarks record the off configuration for comparison.
     pub operator_cache: bool,
     /// Whether the runner prewarms the session stores by batching same-shape
     /// phase-1 work: queued jobs are grouped by [`BackendKind::key`], their
@@ -220,9 +214,10 @@ pub struct ServiceConfig {
     pub clock: ClockKind,
     /// Default per-job effort budget in *simulated* seconds, enforced at
     /// the scheduler's cooperative checkpoints: a job whose spent thermal
-    /// effort exceeds the budget ends as [`JobOutcome::DeadlineExceeded`].
-    /// Effort is a pure function of the corpus, so deadline outcomes are as
-    /// deterministic as completed ones. `None` (the default) disables
+    /// effort exceeds the budget ends as
+    /// [`crate::JobOutcome::DeadlineExceeded`]. Effort is a pure function
+    /// of the corpus, so deadline outcomes are as deterministic as
+    /// completed ones. `None` (the default) disables
     /// deadlines; [`crate::Submission::deadline_effort`] overrides per job.
     pub deadline_effort: Option<f64>,
 }
@@ -289,18 +284,20 @@ impl ServiceConfig {
 
 /// Drives a [`Corpus`] through a pool of worker threads.
 ///
-/// Execution model:
+/// Execution model (everything but the first point is the execution core
+/// shared with [`crate::Frontend`] and the multi-process worker):
 ///
 /// * Jobs are drained from one atomic queue head, so workers stay busy
 ///   regardless of how job costs vary across scenarios.
-/// * Each worker reuses one [`Engine`] per scenario it touches (the engine
-///   prebuilds the guidance model; rebuilding it per job would dominate
-///   small runs), and every engine of a scenario shares that scenario's
-///   session store — cross-job cache hits on identical core-set keys are
-///   the service's main leverage.
+/// * Each worker reuses one [`thermsched::Engine`] per scenario it touches
+///   (the engine prebuilds the guidance model; rebuilding it per job would
+///   dominate small runs), and every engine of a scenario shares that
+///   scenario's session store — cross-job cache hits on identical core-set
+///   keys are the service's main leverage.
 /// * A job that returns an error or panics is isolated: the outcome is
-///   recorded as [`JobOutcome::Failed`] / [`JobOutcome::Panicked`] and the
-///   batch continues (the shared stores recover from lock poisoning).
+///   recorded as [`crate::JobOutcome::Failed`] /
+///   [`crate::JobOutcome::Panicked`] and the batch continues (the shared
+///   stores recover from lock poisoning).
 /// * Results are reported in corpus job order whatever the interleaving,
 ///   and every per-job metric is a pure function of the corpus — see
 ///   [`crate::report`] for the determinism boundary.
@@ -361,7 +358,7 @@ impl ServiceRunner {
     ///
     /// [`ServiceError::Schedule`] if a scenario's thermal backend cannot be
     /// constructed (per-job scheduling failures are *not* errors here; they
-    /// are isolated into the job's [`JobOutcome`]).
+    /// are isolated into the job's [`crate::JobOutcome`]).
     pub fn run(&self, corpus: &Corpus) -> Result<ServiceReport> {
         self.run_traced(corpus, &Tracer::disabled(), &MetricsRegistry::new())
     }
@@ -369,9 +366,9 @@ impl ServiceRunner {
     /// [`Self::run`] with observability attached: every job records a span
     /// tree into `tracer` (root `"job"`, one `"attempt"` per try, with the
     /// engine and scheduler phases nested below), backend construction and
-    /// prewarming record run-level spans, and the final [`ServiceStats`]
-    /// are absorbed into `registry` alongside the per-job latency
-    /// histogram. With a disabled tracer this is exactly [`Self::run`] —
+    /// prewarming record run-level spans, and the final
+    /// [`crate::ServiceStats`] are absorbed into `registry` alongside the
+    /// per-job latency histogram. With a disabled tracer this is exactly [`Self::run`] —
     /// span creation is a branch on a `None` sink, no allocation, no lock.
     ///
     /// # Errors
@@ -383,702 +380,44 @@ impl ServiceRunner {
         tracer: &Tracer,
         registry: &MetricsRegistry,
     ) -> Result<ServiceReport> {
-        // Backends are built up front, once per scenario: every worker
-        // borrows them, and construction cost (a factorisation each) is not
-        // worth paying per worker. With the operator cache on, same-shape
-        // scenarios additionally collapse onto one shared instance — the
-        // build loop is sequential, so the hit/miss counters are a
-        // deterministic function of the corpus.
-        let operator_cache = OperatorCacheHandle::new();
-        let backends = {
-            let mut span = tracer.span("backend.build");
-            span.attr("scenarios", corpus.scenarios().len());
-            span.attr("backend", self.config.backend.label());
-            build_backends(&self.config, corpus, &operator_cache)?
-        };
-        let caches: Vec<SessionCacheHandle> = corpus
-            .scenarios()
-            .iter()
-            .map(|_| self.config.store.handle())
-            .collect();
-
-        // Same-shape batching: advance all queued phase-1 characterisation
-        // sessions of one operator key as a single multi-RHS pass and
-        // publish them to the scenarios' stores before the workers start.
-        // Bit-identical to the per-job path, so only throughput changes.
-        let prewarmed_sessions = if self.config.batch_same_shape {
-            let mut span = tracer.span("prewarm");
-            let prewarmed = prewarm_same_shape(&self.config, corpus, &backends, &caches);
-            span.attr("sessions", prewarmed);
-            prewarmed
-        } else {
-            0
-        };
-
+        let executor = Executor::build(self.config, Cow::Borrowed(corpus), tracer)?;
         let jobs = corpus.jobs();
         let next = AtomicUsize::new(0);
         let results: Mutex<Vec<Option<JobResult>>> = Mutex::new(vec![None; jobs.len()]);
-        let latencies: Mutex<Vec<f64>> = Mutex::new(Vec::with_capacity(jobs.len()));
-        let warm_cache_hits = AtomicUsize::new(0);
-        let cached_validations = AtomicUsize::new(0);
-        let injected_faults = AtomicUsize::new(0);
-        let retried_attempts = AtomicUsize::new(0);
-        let latency_histogram = registry.histogram("job.latency_seconds", LATENCY_BUCKETS);
-
         let started = Instant::now();
         std::thread::scope(|scope| {
             for _ in 0..self.config.workers.min(jobs.len()).max(1) {
                 scope.spawn(|| {
-                    // Inner phase-1 fan-outs run sequentially on this thread:
-                    // the pool is the parallelism, W workers × P phase-1
-                    // threads would oversubscribe the machine.
-                    let _guard = NestedParallelismGuard::enter();
-                    let mut engines: HashMap<usize, Engine<'_>> = HashMap::new();
+                    let mut worker = executor.worker();
                     loop {
                         let index = next.fetch_add(1, Ordering::Relaxed);
                         let Some(job) = jobs.get(index) else { break };
-                        let scenario = &corpus.scenarios()[job.scenario];
-                        let job_started = Instant::now();
-                        // Queue wait of a batch job: time from run start to
-                        // dequeue (interleaving-dependent, so it only ever
-                        // enters observed span attributes).
-                        let queue_seconds = match self.config.clock {
-                            ClockKind::Wall => started.elapsed().as_secs_f64(),
-                            ClockKind::Virtual => 0.0,
-                        };
-                        let execution = execute_job(
-                            &JobContext {
-                                job,
-                                job_index: index as u64,
-                                scenario,
-                                backend: backends[job.scenario].as_ref(),
-                                cache: &caches[job.scenario],
-                                faults: self.config.faults,
-                                retry: self.config.retry,
-                                clock: self.config.clock,
-                                deadline_effort: self.config.deadline_effort,
-                                cancel: None,
-                                tracer: tracer.clone(),
-                                queue_seconds,
-                            },
-                            &mut engines,
-                        );
-                        // Order-dependent cache accounting goes to the stats
-                        // side of the report, never into per-job results.
-                        warm_cache_hits
-                            .fetch_add(execution.accounting.warm_cache_hits, Ordering::Relaxed);
-                        cached_validations
-                            .fetch_add(execution.accounting.cached_validations, Ordering::Relaxed);
-                        injected_faults.fetch_add(execution.injected_faults, Ordering::Relaxed);
-                        retried_attempts.fetch_add(
-                            execution.attempts.saturating_sub(1) as usize,
-                            Ordering::Relaxed,
-                        );
-                        let latency = match self.config.clock {
-                            ClockKind::Wall => job_started.elapsed().as_secs_f64(),
-                            ClockKind::Virtual => execution.virtual_seconds,
-                        };
-                        latency_histogram.observe(latency);
-                        latencies
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .push(latency);
-                        let mut slots = results.lock().unwrap_or_else(PoisonError::into_inner);
-                        slots[index] = Some(JobResult::new(
-                            index,
-                            job,
-                            &scenario.name,
-                            execution.outcome,
-                        ));
+                        // Every job of a batch has been queued since the
+                        // run started.
+                        let (result, _) = worker.run(Dispatch::batch(index, job, started));
+                        results.lock().unwrap_or_else(PoisonError::into_inner)[index] =
+                            Some(result);
                     }
                 });
             }
         });
-        let wall_seconds = started.elapsed().as_secs_f64();
-
-        let jobs_done: Vec<JobResult> = results
+        let (stats, metrics) =
+            executor.finish(self.config.workers, started.elapsed().as_secs_f64());
+        registry.absorb(&metrics);
+        let jobs_done = results
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner)
             .into_iter()
             .map(|slot| slot.expect("every job index is claimed exactly once"))
             .collect();
-        let latency = LatencyStats::from_samples(
-            &latencies
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner),
-        );
-
-        let mut store = StoreStats::default();
-        for cache in &caches {
-            let s = cache.stats();
-            store.lookups += s.lookups;
-            store.hits += s.hits;
-            store.insertions += s.insertions;
-            store.contended_locks += s.contended_locks;
-        }
-        let completed = jobs_done
-            .iter()
-            .filter(|j| matches!(j.outcome, JobOutcome::Completed(_)))
-            .count();
-        let failed = jobs_done
-            .iter()
-            .filter(|j| matches!(j.outcome, JobOutcome::Failed { .. }))
-            .count();
-        let deadline_exceeded = jobs_done
-            .iter()
-            .filter(|j| matches!(j.outcome, JobOutcome::DeadlineExceeded { .. }))
-            .count();
-        let panicked = jobs_done
-            .iter()
-            .filter(|j| matches!(j.outcome, JobOutcome::Panicked { .. }))
-            .count();
-        let stats = ServiceStats {
-            workers: self.config.workers,
-            store_name: self.config.store.name(),
-            shard_count: self.config.store.shard_count(),
-            backend_name: self.config.backend.label(),
-            operator_cache_enabled: self.config.operator_cache,
-            operator_cache: operator_cache.stats(),
-            scenario_count: corpus.scenarios().len(),
-            job_count: jobs_done.len(),
-            completed,
-            failed,
-            panicked,
-            deadline_exceeded,
-            shed: 0,
-            rejected: 0,
-            retried_attempts: retried_attempts.load(Ordering::Relaxed),
-            injected_faults: injected_faults.load(Ordering::Relaxed),
-            worker_crashes: 0,
-            latency,
-            wall_seconds,
-            jobs_per_second: jobs_done.len() as f64 / wall_seconds.max(1e-9),
-            cached_validations: cached_validations.load(Ordering::Relaxed),
-            warm_cache_hits: warm_cache_hits.load(Ordering::Relaxed),
-            prewarmed_sessions,
-            store,
-        };
-        registry.absorb(&stats.metrics());
         Ok(ServiceReport::new(jobs_done, stats))
     }
-}
-
-/// Latency histogram bucket bounds (seconds) shared by the batch runner and
-/// the streaming frontend — fixed so snapshots from different workers and
-/// processes always merge bucket-for-bucket.
-pub(crate) const LATENCY_BUCKETS: &[f64] = &[1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0];
-
-/// Builds one thermal backend per scenario, sequentially (so the operator
-/// cache's hit/miss counters stay a deterministic function of the corpus),
-/// collapsing same-key scenarios onto shared instances when the cache is
-/// enabled. Shared by [`ServiceRunner::run`] and the streaming
-/// [`crate::Frontend`].
-pub(crate) fn build_backends(
-    config: &ServiceConfig,
-    corpus: &Corpus,
-    operator_cache: &OperatorCacheHandle,
-) -> Result<Vec<Arc<dyn ThermalBackend>>> {
-    corpus
-        .scenarios()
-        .iter()
-        .map(|scenario| {
-            if config.operator_cache {
-                operator_cache.get_or_try_build(config.backend.key(scenario), || {
-                    config.backend.build(scenario)
-                })
-            } else {
-                config.backend.build(scenario)
-            }
-        })
-        .collect()
-}
-
-/// Groups the corpus's phase-1 characterisation lanes — one (scenario,
-/// core) single-core session each — by operator key and session
-/// duration, advances each group through the shared backend's multi-RHS
-/// batch, and publishes the results to the scenarios' session stores.
-/// Returns the number of prewarmed lanes. Shared by [`ServiceRunner::run`]
-/// and the streaming [`crate::Frontend`].
-///
-/// The grouping and iteration order are deterministic (sorted by key,
-/// then corpus order within a group), the per-lane results are
-/// bit-identical to what the scheduler's own phase 1 would compute, and
-/// a group that fails to simulate is simply skipped — its jobs compute
-/// phase 1 themselves and surface the error through the normal per-job
-/// path.
-///
-/// Prewarmed lanes are constant-power, from-ambient characterisations
-/// published under the plain cache keys. Online jobs (traces / warm
-/// starts) look up sentinel keys ([`thermsched::SessionCache::online_key`])
-/// instead, so they recompute their own phase 1 and never alias these
-/// entries.
-pub(crate) fn prewarm_same_shape(
-    config: &ServiceConfig,
-    corpus: &Corpus,
-    backends: &[Arc<dyn ThermalBackend>],
-    caches: &[SessionCacheHandle],
-) -> usize {
-    if !config.backend.batches_sessions() {
-        return 0;
-    }
-    // Lanes grouped by (operator key, duration bits): scenarios sharing
-    // a key share one bit-identical backend, and only equal-duration
-    // sessions can share a multi-RHS advance (the step count is a
-    // function of the duration).
-    type PrewarmGroups = std::collections::BTreeMap<(String, u64), Vec<(usize, usize, f64)>>;
-    let mut groups = PrewarmGroups::new();
-    for (index, scenario) in corpus.scenarios().iter().enumerate() {
-        let key = config.backend.key(scenario).to_string();
-        for core in 0..scenario.sut.core_count() {
-            let session = TestSession::new([core], &scenario.sut);
-            let duration = session.duration();
-            groups
-                .entry((key.clone(), duration.to_bits()))
-                .or_default()
-                .push((index, core, duration));
-        }
-    }
-    let mut prewarmed = 0;
-    for ((_, _), lanes) in groups {
-        let duration = lanes[0].2;
-        let powers: std::result::Result<Vec<PowerMap>, _> = lanes
-            .iter()
-            .map(|&(scenario, core, _)| {
-                TestSession::new([core], &corpus.scenarios()[scenario].sut)
-                    .power_map(&corpus.scenarios()[scenario].sut)
-            })
-            .collect();
-        let Ok(powers) = powers else { continue };
-        // All scenarios of a key group share one bit-identical backend
-        // (the operator cache collapses them when enabled; private
-        // builds are deterministic replicas when not), so the group's
-        // first backend serves every lane.
-        let backend = backends[lanes[0].0].as_ref();
-        let Ok(results) = backend.simulate_sessions(&powers, duration) else {
-            continue;
-        };
-        let mut per_scenario: HashMap<usize, Vec<(Vec<usize>, SessionThermalResult)>> =
-            HashMap::new();
-        for (&(scenario, core, _), result) in lanes.iter().zip(results) {
-            per_scenario
-                .entry(scenario)
-                .or_default()
-                .push((vec![core], result));
-        }
-        prewarmed += lanes.len();
-        let mut scenarios: Vec<usize> = per_scenario.keys().copied().collect();
-        scenarios.sort_unstable();
-        for scenario in scenarios {
-            let batch = per_scenario.remove(&scenario).expect("key just listed");
-            caches[scenario].store_batch(batch);
-        }
-    }
-    prewarmed
-}
-
-/// Order-dependent cache accounting of one job: a job served from a store
-/// warmed by whichever job happened to run first reports hits the first
-/// runner does not, so these never enter the deterministic per-job results.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct CacheAccounting {
-    pub(crate) warm_cache_hits: usize,
-    pub(crate) cached_validations: usize,
-}
-
-/// Everything one job execution needs, shared by the batch runner's worker
-/// loop and the streaming [`crate::Frontend`]'s workers.
-///
-/// Two lifetimes on purpose: `'a` is what the worker's cached engines
-/// borrow (scenario, backend, cache — these outlive the whole worker
-/// loop), `'j` the per-job data that only lives for one dispatch (the
-/// frontend owns its `JobSpec` per submission).
-pub(crate) struct JobContext<'a, 'j> {
-    pub(crate) job: &'j JobSpec,
-    /// Index of the job in the fault plan's hash space (corpus order for
-    /// batches, submission order for the frontend).
-    pub(crate) job_index: u64,
-    pub(crate) scenario: &'a Scenario,
-    pub(crate) backend: &'a dyn ThermalBackend,
-    pub(crate) cache: &'a SessionCacheHandle,
-    pub(crate) faults: FaultPlan,
-    pub(crate) retry: RetryPolicy,
-    pub(crate) clock: ClockKind,
-    /// Effective effort budget of this job (per-submission override already
-    /// applied by the caller).
-    pub(crate) deadline_effort: Option<f64>,
-    /// Drain cancellation flag: when set, the next scheduling checkpoint
-    /// interrupts the run ([`InterruptReason::Cancelled`]).
-    pub(crate) cancel: Option<&'j AtomicBool>,
-    /// Run-level tracer ([`Tracer::disabled`] when the caller is not
-    /// tracing); [`execute_job`] derives the job-scoped handle from it.
-    pub(crate) tracer: Tracer,
-    /// Seconds the job waited before dispatch — interleaving-dependent, so
-    /// it is recorded as an *observed* span attribute only.
-    pub(crate) queue_seconds: f64,
-}
-
-/// How one job execution ended, with its side accounting.
-pub(crate) struct JobExecution {
-    pub(crate) outcome: JobOutcome,
-    pub(crate) accounting: CacheAccounting,
-    pub(crate) attempts: u32,
-    pub(crate) injected_faults: usize,
-    /// Seconds accrued by injected delays and retry backoffs under
-    /// [`ClockKind::Virtual`] (0.0 under the wall clock, which sleeps
-    /// instead).
-    pub(crate) virtual_seconds: f64,
-}
-
-/// Checkpoint installed into the scheduler for jobs with a deadline or a
-/// drain-cancellation flag. The budget is compared against *simulated*
-/// effort, so deadline interrupts are deterministic; cancellation is the one
-/// deliberately non-deterministic interrupt (it answers to a drain deadline,
-/// and is reported as such).
-struct JobCheckpoint<'c> {
-    budget: Option<f64>,
-    cancel: Option<&'c AtomicBool>,
-}
-
-impl ScheduleCheckpoint for JobCheckpoint<'_> {
-    fn check(&self, progress: &ScheduleProgress) -> ControlFlow<InterruptReason> {
-        if let Some(cancel) = self.cancel {
-            if cancel.load(Ordering::Relaxed) {
-                return ControlFlow::Break(InterruptReason::Cancelled);
-            }
-        }
-        if let Some(budget) = self.budget {
-            if progress.spent_effort() > budget {
-                return ControlFlow::Break(InterruptReason::DeadlineExceeded { budget });
-            }
-        }
-        ControlFlow::Continue(())
-    }
-}
-
-/// Executes one job with fault injection, deadline checkpoints and retries:
-/// the shared attempt loop behind both [`ServiceRunner::run`] and the
-/// streaming [`crate::Frontend`].
-///
-/// Per attempt, the fault plan is consulted first: an injected panic goes
-/// through the worker's real `catch_unwind` path, an injected error becomes
-/// a retryable [`JobOutcome::Failed`], and an injected delay advances the
-/// clock before the attempt runs. Store poisoning happens once, before the
-/// first attempt. Retries are granted only to outcomes that are retryable
-/// under [`ServiceError::is_retryable`] — injected faults — because real
-/// scheduler errors, panics and deadline interrupts are deterministic
-/// functions of the corpus and would only reproduce. The attempt count is
-/// stamped into the final outcome.
-pub(crate) fn execute_job<'a>(
-    ctx: &JobContext<'a, '_>,
-    engines: &mut HashMap<usize, Engine<'a>>,
-) -> JobExecution {
-    // Every per-job span lives under this job-scoped handle, created here
-    // and nowhere above: the batch runner, the streaming frontend and the
-    // multi-process workers all funnel through execute_job, which is what
-    // makes the structural span slice identical across all three.
-    let tracer = ctx.tracer.for_job(ctx.job_index);
-    let mut job_span = tracer.span("job");
-    job_span.attr("index", ctx.job_index);
-    job_span.attr("scenario", ctx.scenario.name.as_str());
-    job_span.attr("label", ctx.job.label.as_str());
-    job_span.attr_observed("queue_seconds", ctx.queue_seconds);
-    let mut injected_faults = 0;
-    let mut virtual_seconds = 0.0;
-    if let Some(shard) = ctx.faults.poison_target(ctx.job_index) {
-        injected_faults += 1;
-        ctx.cache.poison_shard(shard);
-    }
-    let mut attempt = 0u32;
-    let (outcome, accounting) = loop {
-        attempt += 1;
-        let fault = ctx.faults.fault_for(ctx.job_index, attempt);
-        let mut attempt_span = tracer.span("attempt");
-        attempt_span.attr("number", attempt);
-        if let Some(kind) = fault {
-            // Faults are seeded by (plan seed, job, attempt), so which
-            // fault fires on which attempt is structural.
-            attempt_span.attr("fault", kind.to_string());
-        }
-        let (outcome, accounting) = match fault {
-            Some(FaultKind::Panic) => {
-                injected_faults += 1;
-                let message = ServiceError::Injected {
-                    kind: FaultKind::Panic,
-                    job: ctx.job_index,
-                    attempt,
-                }
-                .to_string();
-                isolate(move || -> thermsched::Result<ScheduleOutcome> { panic!("{message}") })
-            }
-            Some(FaultKind::Error) => {
-                injected_faults += 1;
-                let error = ServiceError::Injected {
-                    kind: FaultKind::Error,
-                    job: ctx.job_index,
-                    attempt,
-                };
-                (
-                    JobOutcome::Failed {
-                        error: error.to_string(),
-                        retryable: error.is_retryable(),
-                        attempts: attempt,
-                    },
-                    CacheAccounting::default(),
-                )
-            }
-            Some(FaultKind::Delay) => {
-                injected_faults += 1;
-                advance_clock(ctx.clock, ctx.faults.delay_seconds, &mut virtual_seconds);
-                run_attempt(ctx, engines, &tracer)
-            }
-            Some(FaultKind::PoisonStore) | None => run_attempt(ctx, engines, &tracer),
-        };
-        // Injected panics are the one retryable panic shape: we know this
-        // attempt's panic was ours. Real panics stay terminal.
-        let retryable = match &outcome {
-            JobOutcome::Failed { retryable, .. } => *retryable,
-            JobOutcome::Panicked { .. } => matches!(fault, Some(FaultKind::Panic)),
-            _ => false,
-        };
-        drop(attempt_span);
-        if retryable && attempt < ctx.retry.max_attempts {
-            advance_clock(
-                ctx.clock,
-                ctx.retry.backoff_seconds(ctx.job_index, attempt + 1),
-                &mut virtual_seconds,
-            );
-            continue;
-        }
-        break (outcome, accounting);
-    };
-    job_span.attr("attempts", attempt);
-    job_span.attr("outcome", outcome_kind(&outcome));
-    JobExecution {
-        outcome: stamp_attempts(outcome, attempt),
-        accounting,
-        attempts: attempt,
-        injected_faults,
-        virtual_seconds,
-    }
-}
-
-/// Stable label of an outcome variant for span attributes and per-outcome
-/// metric names (shed/rejected outcomes never reach [`execute_job`] — they
-/// never ran).
-pub(crate) fn outcome_kind(outcome: &JobOutcome) -> &'static str {
-    match outcome {
-        JobOutcome::Completed(_) => "completed",
-        JobOutcome::Failed { .. } => "failed",
-        JobOutcome::Panicked { .. } => "panicked",
-        JobOutcome::DeadlineExceeded { .. } => "deadline_exceeded",
-        JobOutcome::Shed(_) => "shed",
-        JobOutcome::Rejected(_) => "rejected",
-    }
-}
-
-/// Runs one attempt: reuses (or builds) the worker's engine for the job's
-/// scenario and schedules under panic isolation, with a checkpoint installed
-/// when the job has a deadline or a cancellation flag.
-fn run_attempt<'a>(
-    ctx: &JobContext<'a, '_>,
-    engines: &mut HashMap<usize, Engine<'a>>,
-    tracer: &Tracer,
-) -> (JobOutcome, CacheAccounting) {
-    let engine = match engines.entry(ctx.job.scenario) {
-        Entry::Occupied(entry) => entry.into_mut(),
-        Entry::Vacant(entry) => {
-            let built = Engine::builder()
-                .sut(&ctx.scenario.sut)
-                .dyn_backend(ctx.backend)
-                .cache(ctx.cache.clone())
-                .build();
-            match built {
-                Ok(engine) => entry.insert(engine),
-                Err(error) => {
-                    return (
-                        JobOutcome::Failed {
-                            error: error.to_string(),
-                            retryable: false,
-                            attempts: 1,
-                        },
-                        CacheAccounting::default(),
-                    )
-                }
-            }
-        }
-    };
-    // Engines are reused across jobs; point this one at the current job's
-    // scope so its schedule/phase spans land under the open attempt span.
-    engine.set_tracer(tracer.clone());
-    // Online state (trace / warm start) is part of the job's identity, so a
-    // malformed context is a deterministic, non-retryable failure.
-    let online = match ctx.job.online_context() {
-        Ok(online) => online,
-        Err(error) => {
-            return (
-                JobOutcome::Failed {
-                    error: error.to_string(),
-                    retryable: false,
-                    attempts: 1,
-                },
-                CacheAccounting::default(),
-            )
-        }
-    };
-    if ctx.deadline_effort.is_some() || ctx.cancel.is_some() {
-        let checkpoint = JobCheckpoint {
-            budget: ctx.deadline_effort,
-            cancel: ctx.cancel,
-        };
-        match &online {
-            Some(online) => isolate(|| {
-                engine.schedule_online_with_checkpoint(ctx.job.config, online, &checkpoint)
-            }),
-            None => isolate(|| engine.schedule_with_checkpoint(ctx.job.config, &checkpoint)),
-        }
-    } else {
-        match &online {
-            Some(online) => isolate(|| engine.schedule_online_with(ctx.job.config, online)),
-            None => isolate(|| engine.schedule_with(ctx.job.config)),
-        }
-    }
-}
-
-/// Advances the configured clock by `seconds`: sleeps under the wall clock,
-/// accrues deterministic virtual time otherwise.
-fn advance_clock(clock: ClockKind, seconds: f64, virtual_seconds: &mut f64) {
-    match clock {
-        ClockKind::Wall => {
-            if seconds > 0.0 {
-                std::thread::sleep(std::time::Duration::from_secs_f64(seconds));
-            }
-        }
-        ClockKind::Virtual => *virtual_seconds += seconds,
-    }
-}
-
-/// Stamps the attempt count into a final outcome (shed/rejected outcomes
-/// never pass through here — they never ran).
-fn stamp_attempts(outcome: JobOutcome, attempts: u32) -> JobOutcome {
-    match outcome {
-        JobOutcome::Completed(mut metrics) => {
-            metrics.attempts = attempts;
-            JobOutcome::Completed(metrics)
-        }
-        JobOutcome::Failed {
-            error, retryable, ..
-        } => JobOutcome::Failed {
-            error,
-            retryable,
-            attempts,
-        },
-        JobOutcome::Panicked { message, .. } => JobOutcome::Panicked { message, attempts },
-        JobOutcome::DeadlineExceeded {
-            spent_effort,
-            budget,
-            ..
-        } => JobOutcome::DeadlineExceeded {
-            spent_effort,
-            budget,
-            attempts,
-        },
-        other => other,
-    }
-}
-
-/// Runs a scheduling closure with panic isolation, mapping the ways it can
-/// end onto [`JobOutcome`] and splitting off the order-dependent cache
-/// accounting. Checkpoint interrupts become
-/// [`JobOutcome::DeadlineExceeded`]; a drain cancellation is reported as a
-/// zero budget.
-fn isolate(
-    run: impl FnOnce() -> thermsched::Result<ScheduleOutcome>,
-) -> (JobOutcome, CacheAccounting) {
-    match std::panic::catch_unwind(AssertUnwindSafe(run)) {
-        Ok(Ok(outcome)) => (
-            JobOutcome::Completed((&outcome).into()),
-            CacheAccounting {
-                warm_cache_hits: outcome.warm_cache_hits,
-                cached_validations: outcome.cached_validations,
-            },
-        ),
-        Ok(Err(ScheduleError::Interrupted {
-            reason,
-            spent_effort,
-        })) => {
-            let budget = match reason {
-                InterruptReason::DeadlineExceeded { budget } => budget,
-                InterruptReason::Cancelled => 0.0,
-            };
-            (
-                JobOutcome::DeadlineExceeded {
-                    spent_effort,
-                    budget,
-                    attempts: 1,
-                },
-                CacheAccounting::default(),
-            )
-        }
-        Ok(Err(error)) => (
-            JobOutcome::Failed {
-                error: error.to_string(),
-                retryable: false,
-                attempts: 1,
-            },
-            CacheAccounting::default(),
-        ),
-        Err(payload) => (
-            JobOutcome::Panicked {
-                message: panic_message(payload.as_ref()),
-                attempts: 1,
-            },
-            CacheAccounting::default(),
-        ),
-    }
-}
-
-/// Renders a caught panic payload.
-///
-/// `panic!("...")` payloads carry `&str` or `String` and are rendered
-/// verbatim. `std::panic::panic_any` payloads are probed further: boxed
-/// error objects (`Box<dyn Error + Send (+ Sync)>`) render through their
-/// `Display`, and a table of well-known primitive payload types renders the
-/// value with its type name. Anything else keeps the historical
-/// `"non-string panic payload"` text, now with the payload's `TypeId`
-/// appended so distinct opaque payloads stay distinguishable in reports.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        return (*s).to_owned();
-    }
-    if let Some(s) = payload.downcast_ref::<String>() {
-        return s.clone();
-    }
-    if let Some(e) = payload.downcast_ref::<Box<dyn std::error::Error + Send + Sync>>() {
-        return format!("error payload: {e}");
-    }
-    if let Some(e) = payload.downcast_ref::<Box<dyn std::error::Error + Send>>() {
-        return format!("error payload: {e}");
-    }
-    macro_rules! probe {
-        ($($ty:ty),* $(,)?) => {
-            $(
-                if let Some(value) = payload.downcast_ref::<$ty>() {
-                    return format!(
-                        "non-string panic payload: {} = {value:?}",
-                        stringify!($ty)
-                    );
-                }
-            )*
-        };
-    }
-    probe!(i8, i16, i32, i64, i128, isize, u8, u16, u32, u64, u128, usize, f32, f64, bool, char);
-    format!("non-string panic payload (type id {:?})", payload.type_id())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ScenarioSpec;
+    use crate::{JobOutcome, JobSpec, ScenarioSpec};
 
     fn small_spec() -> ScenarioSpec {
         ScenarioSpec {
@@ -1236,124 +575,6 @@ mod tests {
                 other => panic!("expected Failed, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn isolate_catches_panics_and_maps_errors() {
-        let (outcome, accounting) = isolate(|| panic!("boom"));
-        assert_eq!(
-            outcome,
-            JobOutcome::Panicked {
-                message: "boom".to_owned(),
-                attempts: 1,
-            }
-        );
-        assert_eq!(accounting.warm_cache_hits, 0);
-
-        let label = "label".to_owned();
-        let (outcome, _) = isolate(move || panic!("formatted {label}"));
-        assert_eq!(
-            outcome,
-            JobOutcome::Panicked {
-                message: "formatted label".to_owned(),
-                attempts: 1,
-            }
-        );
-
-        let (outcome, _) = isolate(|| {
-            Err(thermsched::ScheduleError::MissingComponent {
-                component: "backend",
-            })
-        });
-        assert!(matches!(
-            outcome,
-            JobOutcome::Failed {
-                retryable: false,
-                ..
-            }
-        ));
-
-        // A checkpoint interrupt maps onto the deadline outcome, with a
-        // cancellation reported as a zero budget.
-        let (outcome, _) = isolate(|| {
-            Err(thermsched::ScheduleError::Interrupted {
-                reason: InterruptReason::DeadlineExceeded { budget: 4.0 },
-                spent_effort: 5.5,
-            })
-        });
-        assert_eq!(
-            outcome,
-            JobOutcome::DeadlineExceeded {
-                spent_effort: 5.5,
-                budget: 4.0,
-                attempts: 1,
-            }
-        );
-        let (outcome, _) = isolate(|| {
-            Err(thermsched::ScheduleError::Interrupted {
-                reason: InterruptReason::Cancelled,
-                spent_effort: 2.0,
-            })
-        });
-        assert!(matches!(
-            outcome,
-            JobOutcome::DeadlineExceeded { budget, .. } if budget == 0.0
-        ));
-    }
-
-    #[test]
-    fn panic_message_renders_error_and_typed_payloads() {
-        // The two string shapes `panic!` produces.
-        assert_eq!(panic_message(&"literal"), "literal");
-        assert_eq!(panic_message(&"owned".to_owned()), "owned");
-
-        // `panic_any` with boxed error objects renders their Display,
-        // whether or not the box is Sync.
-        let sync_err: Box<dyn std::error::Error + Send + Sync> = Box::new(ServiceError::Injected {
-            kind: FaultKind::Panic,
-            job: 3,
-            attempt: 1,
-        });
-        assert_eq!(
-            panic_message(&sync_err),
-            "error payload: injected panic fault on job 3 attempt 1"
-        );
-        let send_err: Box<dyn std::error::Error + Send> =
-            Box::new(thermsched::ScheduleError::MissingComponent {
-                component: "backend",
-            });
-        assert!(panic_message(&send_err).starts_with("error payload:"));
-
-        // Well-known primitive payloads are named and rendered; the old
-        // code collapsed all of these to "non-string panic payload".
-        assert_eq!(panic_message(&42i32), "non-string panic payload: i32 = 42");
-        assert_eq!(
-            panic_message(&7usize),
-            "non-string panic payload: usize = 7"
-        );
-        assert_eq!(
-            panic_message(&1.5f64),
-            "non-string panic payload: f64 = 1.5"
-        );
-        assert_eq!(
-            panic_message(&true),
-            "non-string panic payload: bool = true"
-        );
-
-        // Opaque payloads keep the historical prefix but gain the TypeId.
-        struct Opaque;
-        let message = panic_message(&Opaque);
-        assert!(message.starts_with("non-string panic payload (type id"));
-
-        // End to end: a panic_any payload travels through isolate.
-        let (outcome, _) = isolate(|| std::panic::panic_any(42i32));
-        assert_eq!(
-            outcome,
-            JobOutcome::Panicked {
-                message: "non-string panic payload: i32 = 42".to_owned(),
-                attempts: 1,
-            }
-        );
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! | `0x08` | object: u32 LE count + (string key, value) pairs   |
 //!
 //! Floats travel as raw bit patterns, so the binary path is trivially
-//! bit-exact. Decoding is strict: unknown tags, truncated bodies and
-//! non-finite floats are typed errors, never panics.
+//! bit-exact. Decoding is strict: unknown tags, truncated bodies,
+//! non-finite floats and nesting deeper than the text decoder accepts are
+//! typed errors, never panics.
 
 use crate::json::{JsonValue, Number};
 use crate::{Result, WireError};
@@ -109,9 +110,14 @@ fn encode_into(value: &JsonValue, out: &mut Vec<u8>) -> Result<()> {
 /// # Errors
 ///
 /// [`WireError::Truncated`], [`WireError::BadTag`], [`WireError::Invalid`]
-/// (trailing bytes, invalid UTF-8) or [`WireError::NonFinite`].
+/// (trailing bytes, invalid UTF-8, too deeply nested) or
+/// [`WireError::NonFinite`].
 pub fn decode_value(bytes: &[u8]) -> Result<JsonValue> {
-    let mut reader = Reader { bytes, pos: 0 };
+    let mut reader = Reader {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     let value = reader.value()?;
     if reader.pos != bytes.len() {
         return Err(WireError::Invalid {
@@ -128,6 +134,8 @@ pub fn decode_value(bytes: &[u8]) -> Result<JsonValue> {
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Reader<'_> {
@@ -186,14 +194,17 @@ impl Reader<'_> {
             }
             TAG_STRING => JsonValue::String(self.string()?),
             TAG_ARRAY => {
+                self.enter()?;
                 let count = self.u32_len("array length")?;
                 let mut items = Vec::new();
                 for _ in 0..count {
                     items.push(self.value()?);
                 }
+                self.depth -= 1;
                 JsonValue::Array(items)
             }
             TAG_OBJECT => {
+                self.enter()?;
                 let count = self.u32_len("object length")?;
                 let mut entries = Vec::new();
                 for _ in 0..count {
@@ -201,10 +212,23 @@ impl Reader<'_> {
                     let value = self.value()?;
                     entries.push((key, value));
                 }
+                self.depth -= 1;
                 JsonValue::Object(entries)
             }
             tag => return Err(WireError::BadTag { tag }),
         })
+    }
+
+    /// Opens one array or object level, refusing to nest past the limit.
+    fn enter(&mut self) -> Result<()> {
+        if self.depth == crate::MAX_DEPTH {
+            return Err(WireError::Invalid {
+                type_name: "binary value",
+                message: format!("nesting deeper than {} levels", crate::MAX_DEPTH),
+            });
+        }
+        self.depth += 1;
+        Ok(())
     }
 }
 
@@ -301,6 +325,37 @@ mod tests {
             decode_value(&[TAG_NULL, TAG_NULL]),
             Err(WireError::Invalid { .. })
         ));
+    }
+
+    #[test]
+    fn nesting_past_the_depth_limit_is_a_typed_error() {
+        // `depth` one-element arrays (or single-field objects) around a null.
+        let nested = |tag: u8, depth: usize| {
+            let mut bytes = Vec::new();
+            for _ in 0..depth {
+                bytes.push(tag);
+                bytes.extend_from_slice(&1u32.to_le_bytes());
+                if tag == TAG_OBJECT {
+                    bytes.extend_from_slice(&1u32.to_le_bytes());
+                    bytes.push(b'k');
+                }
+            }
+            bytes.push(TAG_NULL);
+            bytes
+        };
+        for tag in [TAG_ARRAY, TAG_OBJECT] {
+            assert!(decode_value(&nested(tag, crate::MAX_DEPTH)).is_ok());
+            // One level too deep, and deep enough to overflow an unbounded
+            // recursive descent: both are typed errors.
+            for depth in [crate::MAX_DEPTH + 1, 200_000] {
+                match decode_value(&nested(tag, depth)) {
+                    Err(WireError::Invalid { message, .. }) => {
+                        assert!(message.contains("nesting deeper than 128"), "{message}");
+                    }
+                    other => panic!("depth {depth}: expected Invalid, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

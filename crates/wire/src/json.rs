@@ -384,6 +384,7 @@ impl JsonValue {
         let mut parser = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws();
         let value = parser.value()?;
@@ -542,6 +543,8 @@ fn write_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -580,8 +583,21 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == crate::MAX_DEPTH {
+                    return Err(
+                        self.error(format!("nesting deeper than {} levels", crate::MAX_DEPTH))
+                    );
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -936,6 +952,32 @@ mod tests {
                 assert_eq!(line, 2);
                 assert_eq!(column, 8);
             }
+            other => panic!("expected Parse, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_depth_limit_is_a_typed_error() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects =
+            |depth: usize| format!("{}null{}", "{\"k\":".repeat(depth), "}".repeat(depth));
+        for nested in [arrays, objects] {
+            assert!(JsonValue::parse(&nested(crate::MAX_DEPTH)).is_ok());
+            // One level too deep, and deep enough to overflow an unbounded
+            // recursive descent: both are positioned parse errors.
+            for depth in [crate::MAX_DEPTH + 1, 200_000] {
+                match JsonValue::parse(&nested(depth)) {
+                    Err(WireError::Parse { line, message, .. }) => {
+                        assert_eq!(line, 1);
+                        assert!(message.contains("nesting deeper than 128"), "{message}");
+                    }
+                    other => panic!("depth {depth}: expected Parse, got {other:?}"),
+                }
+            }
+        }
+        // The error points at the first bracket past the limit.
+        match JsonValue::parse(&arrays(crate::MAX_DEPTH + 1)) {
+            Err(WireError::Parse { column, .. }) => assert_eq!(column, crate::MAX_DEPTH + 1),
             other => panic!("expected Parse, got {other:?}"),
         }
     }

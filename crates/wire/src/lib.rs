@@ -40,6 +40,14 @@ pub const FORMAT_NAME: &str = "thermsched-wire";
 /// Version written into every document envelope.
 pub const FORMAT_VERSION: u64 = 1;
 
+/// Deepest array/object nesting either decoder accepts. Every document the
+/// workspace writes nests about ten levels (a corpus inside a HELLO frame);
+/// the bound keeps hostile input from overflowing the recursive decoders'
+/// stack, which no `catch_unwind` can recover from. Deeper input is a
+/// typed error: [`WireError::Parse`] from the text decoder,
+/// [`WireError::Invalid`] from the binary one.
+const MAX_DEPTH: usize = 128;
+
 /// A type that can cross the wire.
 ///
 /// Implementors provide the [`JsonValue`] mapping; the trait derives both

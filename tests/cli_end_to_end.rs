@@ -204,3 +204,34 @@ fn usage_errors_exit_two_with_help_and_runtime_errors_exit_one() {
     assert!(help.status.success());
     assert!(String::from_utf8_lossy(&help.stdout).contains("commands:"));
 }
+
+#[test]
+fn deeply_nested_input_exits_with_an_error_instead_of_aborting() {
+    // Deep enough to overflow the stack of an unbounded recursive-descent
+    // parser, which aborts the process (SIGABRT) where no handler can
+    // catch it. The bounded decoder turns it into a runtime error.
+    let dir = std::env::temp_dir().join("thermsched-cli-deep");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("deep.json");
+    std::fs::write(
+        &path,
+        format!("{}{}", "[".repeat(200_000), "]".repeat(200_000)),
+    )
+    .expect("deep document written");
+    let path_arg = path.to_str().expect("utf-8 temp path");
+    for command in ["run", "trace"] {
+        let output = thermsched(&[command, path_arg]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(1),
+            "`thermsched {command}` on deep input: {:?}\n{stderr}",
+            output.status
+        );
+        assert!(
+            stderr.contains("thermsched:") && stderr.contains("nesting deeper than"),
+            "`thermsched {command}`: {stderr}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
