@@ -368,8 +368,9 @@ impl ServiceRunner {
     /// engine and scheduler phases nested below), backend construction and
     /// prewarming record run-level spans, and the final
     /// [`crate::ServiceStats`] are absorbed into `registry` alongside the
-    /// per-job latency histogram. With a disabled tracer this is exactly [`Self::run`] —
-    /// span creation is a branch on a `None` sink, no allocation, no lock.
+    /// per-job latency histogram. With a disabled tracer this is exactly
+    /// [`Self::run`] — span creation is a branch on a `None` sink, no
+    /// allocation, no lock.
     ///
     /// # Errors
     ///
