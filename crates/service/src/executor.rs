@@ -6,9 +6,12 @@
 //! and drain, or frames read from a pipe. Everything else is the
 //! [`Executor`] in this module:
 //!
-//! * **setup** ([`Executor::build`]): the `backend.build` span, one
-//!   backend per scenario (collapsed through the operator cache), one
-//!   session store per scenario and the same-shape `prewarm` span;
+//! * **setup** ([`Executor::build`], [`Executor::add`]): per scenario, a
+//!   slot holding its definition, its backend (collapsed through the
+//!   operator cache) and its session store, built under a `backend.build`
+//!   span and prewarmed under a `prewarm` span. The in-process executors
+//!   add every scenario up front; a worker process adds each scenario when
+//!   its definition first arrives;
 //! * **one job** ([`Worker::run`]): fault injection, retries and deadline
 //!   checkpoints around one scheduling run, then the clock-dependent
 //!   latency and the outcome, fault, retry and cache counters, tallied
@@ -40,7 +43,7 @@ use thermsched_thermal::{PowerMap, SessionThermalResult, ThermalBackend};
 
 use crate::report::LatencyStats;
 use crate::{
-    ClockKind, Corpus, FaultKind, JobOutcome, JobResult, JobSpec, Result, Scenario, ServiceConfig,
+    ClockKind, FaultKind, JobOutcome, JobResult, JobSpec, Result, Scenario, ServiceConfig,
     ServiceError, ServiceStats,
 };
 
@@ -48,13 +51,21 @@ use crate::{
 /// different executors and processes always merge bucket-for-bucket.
 const LATENCY_BUCKETS: &[f64] = &[1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0];
 
-/// Backends, stores and counters of one run, shared by every dispatch
+/// One scenario's share of an executor: its definition, the thermal
+/// backend its jobs validate against and the session store they share.
+pub(crate) struct Slot<'c> {
+    pub(crate) scenario: Cow<'c, Scenario>,
+    backend: Arc<dyn ThermalBackend>,
+    cache: SessionCacheHandle,
+}
+
+/// Slots, stores and counters of one run, shared by every dispatch
 /// thread of it. See the [module docs](self).
 pub(crate) struct Executor<'c> {
     config: ServiceConfig,
-    corpus: Cow<'c, Corpus>,
-    backends: Vec<Arc<dyn ThermalBackend>>,
-    caches: Vec<SessionCacheHandle>,
+    /// Keyed by global scenario index: dense from 0 in process, the
+    /// scenarios dealt to it in a worker process.
+    slots: BTreeMap<usize, Slot<'c>>,
     operator_cache: OperatorCacheHandle,
     prewarmed_sessions: usize,
     /// Run-level tracer ([`Tracer::disabled`] when the caller is not
@@ -64,62 +75,100 @@ pub(crate) struct Executor<'c> {
 }
 
 impl<'c> Executor<'c> {
-    /// Builds the backends and session stores of `corpus` and prewarms the
-    /// stores.
+    /// An executor with no scenarios yet; see [`Self::add`].
+    pub(crate) fn new(config: ServiceConfig, tracer: &Tracer) -> Self {
+        Executor {
+            config,
+            slots: BTreeMap::new(),
+            operator_cache: OperatorCacheHandle::new(),
+            prewarmed_sessions: 0,
+            tracer: tracer.clone(),
+            tally: Mutex::default(),
+        }
+    }
+
+    /// An executor over `scenarios`, indexed from 0, with every slot
+    /// built and prewarmed before any job runs.
     ///
-    /// Backends are built up front, once per scenario: every worker borrows
-    /// them, and construction cost (a factorisation each) is not worth
-    /// paying per worker. With the operator cache on, same-shape scenarios
-    /// collapse onto one shared instance; the build loop is sequential, so
-    /// the hit/miss counters are a deterministic function of the corpus.
+    /// # Errors
+    ///
+    /// As [`Self::add`].
+    pub(crate) fn build(
+        config: ServiceConfig,
+        scenarios: impl IntoIterator<Item = Cow<'c, Scenario>>,
+        tracer: &Tracer,
+    ) -> Result<Self> {
+        let mut executor = Executor::new(config, tracer);
+        executor.add(scenarios.into_iter().enumerate())?;
+        Ok(executor)
+    }
+
+    /// Adds scenarios under their global indices: builds each one's
+    /// backend and session store, then prewarms the added stores.
+    ///
+    /// Backends are built once per scenario and borrowed by every worker:
+    /// construction cost (a factorisation each) is not worth paying per
+    /// worker. With the operator cache on, same-shape scenarios collapse
+    /// onto one shared instance; the build loop is sequential, so the
+    /// hit/miss counters are a deterministic function of the scenarios
+    /// added and their order. Each index is added once.
     ///
     /// # Errors
     ///
     /// [`ServiceError::Schedule`] if a scenario's backend cannot be built.
-    pub(crate) fn build(
-        config: ServiceConfig,
-        corpus: Cow<'c, Corpus>,
-        tracer: &Tracer,
-    ) -> Result<Self> {
-        let operator_cache = OperatorCacheHandle::new();
-        let backends = {
-            let mut span = tracer.span("backend.build");
-            span.attr("scenarios", corpus.scenarios().len());
+    pub(crate) fn add(
+        &mut self,
+        scenarios: impl IntoIterator<Item = (usize, Cow<'c, Scenario>)>,
+    ) -> Result<()> {
+        let config = self.config;
+        let scenarios: Vec<_> = scenarios.into_iter().collect();
+        let mut added = Vec::with_capacity(scenarios.len());
+        {
+            let mut span = self.tracer.span("backend.build");
+            span.attr("scenarios", scenarios.len());
             span.attr("backend", config.backend.label());
-            build_backends(&config, &corpus, &operator_cache)?
-        };
-        let caches: Vec<SessionCacheHandle> = corpus
-            .scenarios()
-            .iter()
-            .map(|_| config.store.handle())
-            .collect();
+            for (index, scenario) in scenarios {
+                let backend = if config.operator_cache {
+                    self.operator_cache
+                        .get_or_try_build(config.backend.key(&scenario), || {
+                            config.backend.build(&scenario)
+                        })?
+                } else {
+                    config.backend.build(&scenario)?
+                };
+                let cache = config.store.handle();
+                self.slots.insert(
+                    index,
+                    Slot {
+                        scenario,
+                        backend,
+                        cache,
+                    },
+                );
+                added.push(index);
+            }
+        }
         // Same-shape batching: advance all queued phase-1 characterisation
         // sessions of one operator key as a single multi-RHS pass and
         // publish them to the scenarios' stores before any job runs.
         // Bit-identical to the per-job path, so only throughput changes.
-        let prewarmed_sessions = if config.batch_same_shape {
-            let mut span = tracer.span("prewarm");
-            let prewarmed = prewarm_same_shape(&config, &corpus, &backends, &caches);
+        if config.batch_same_shape {
+            let mut span = self.tracer.span("prewarm");
+            let prewarmed = prewarm_same_shape(&config, &self.slots, &added);
             span.attr("sessions", prewarmed);
-            prewarmed
-        } else {
-            0
-        };
-        Ok(Executor {
-            config,
-            corpus,
-            backends,
-            caches,
-            operator_cache,
-            prewarmed_sessions,
-            tracer: tracer.clone(),
-            tally: Mutex::default(),
-        })
+            self.prewarmed_sessions += prewarmed;
+        }
+        Ok(())
     }
 
-    /// The scenarios jobs run against.
-    pub(crate) fn scenarios(&self) -> &[Scenario] {
-        self.corpus.scenarios()
+    /// The slot of the scenario with global index `scenario`.
+    pub(crate) fn slot(&self, scenario: usize) -> Option<&Slot<'c>> {
+        self.slots.get(&scenario)
+    }
+
+    /// How many scenarios the executor holds.
+    pub(crate) fn scenario_count(&self) -> usize {
+        self.slots.len()
     }
 
     /// A job runner for the calling thread. It keeps one [`Engine`] per
@@ -151,9 +200,9 @@ impl<'c> Executor<'c> {
         wall_seconds: f64,
     ) -> (ServiceStats, MetricsSnapshot) {
         let mut tally = self.lock_tally().clone();
-        for cache in &self.caches {
+        for slot in self.slots.values() {
             tally.setup.merge(&SetupStats {
-                store: cache.stats(),
+                store: slot.cache.stats(),
                 ..SetupStats::default()
             });
         }
@@ -162,7 +211,7 @@ impl<'c> Executor<'c> {
             prewarmed_sessions: self.prewarmed_sessions,
             ..SetupStats::default()
         });
-        let stats = tally.stats(&self.config, workers, self.scenarios().len(), wall_seconds);
+        let stats = tally.stats(&self.config, workers, self.slots.len(), wall_seconds);
         let metrics = tally.metrics(&stats);
         (stats, metrics)
     }
@@ -351,7 +400,7 @@ pub(crate) struct Worker<'e, 'c> {
     _sequential: NestedParallelismGuard,
 }
 
-impl Worker<'_, '_> {
+impl<'e, 'c> Worker<'e, 'c> {
     /// Runs one job to its result and tallies it into the executor.
     pub(crate) fn run(&mut self, dispatch: Dispatch<'_>) -> (JobResult, JobAccounting) {
         let executor = self.executor;
@@ -363,7 +412,10 @@ impl Worker<'_, '_> {
             ClockKind::Wall => dispatched.duration_since(dispatch.queued_at).as_secs_f64(),
             ClockKind::Virtual => 0.0,
         };
-        let (outcome, mut accounting) = self.execute(&dispatch, queue_seconds);
+        let slot = executor
+            .slot(dispatch.job.scenario)
+            .expect("dispatch fronts only run jobs of scenarios the executor holds");
+        let (outcome, mut accounting) = self.execute(&dispatch, slot, queue_seconds);
         if clock == ClockKind::Wall {
             let latency_from = if dispatch.latency_includes_queue {
                 dispatch.queued_at
@@ -372,8 +424,7 @@ impl Worker<'_, '_> {
             };
             accounting.latency_seconds = latency_from.elapsed().as_secs_f64();
         }
-        let scenario = &executor.scenarios()[dispatch.job.scenario];
-        let result = JobResult::new(dispatch.index, dispatch.job, &scenario.name, outcome);
+        let result = JobResult::new(dispatch.index, dispatch.job, &slot.scenario.name, outcome);
         executor
             .lock_tally()
             .record(&result.outcome, Some(&accounting));
@@ -397,12 +448,13 @@ impl Worker<'_, '_> {
     fn execute(
         &mut self,
         dispatch: &Dispatch<'_>,
+        slot: &'e Slot<'c>,
         queue_seconds: f64,
     ) -> (JobOutcome, JobAccounting) {
         let executor = self.executor;
         let config = &executor.config;
         let job_index = dispatch.index as u64;
-        let scenario = &executor.scenarios()[dispatch.job.scenario];
+        let scenario = &slot.scenario;
         let deadline_effort = dispatch.deadline_effort.or(config.deadline_effort);
         // Every per-job span lives under this job-scoped handle, created
         // here and nowhere above: every executor funnels through this
@@ -418,7 +470,7 @@ impl Worker<'_, '_> {
         let mut virtual_seconds = 0.0;
         if let Some(shard) = config.faults.poison_target(job_index) {
             injected_faults += 1;
-            executor.caches[dispatch.job.scenario].poison_shard(shard);
+            slot.cache.poison_shard(shard);
         }
         let mut attempt = 0u32;
         let (outcome, accounting) = loop {
@@ -465,10 +517,10 @@ impl Worker<'_, '_> {
                         config.faults.delay_seconds,
                         &mut virtual_seconds,
                     );
-                    self.attempt(dispatch, deadline_effort, &tracer)
+                    self.attempt(dispatch, slot, deadline_effort, &tracer)
                 }
                 Some(FaultKind::PoisonStore) | None => {
-                    self.attempt(dispatch, deadline_effort, &tracer)
+                    self.attempt(dispatch, slot, deadline_effort, &tracer)
                 }
             };
             // Injected panics are the one retryable panic shape: we know
@@ -509,18 +561,18 @@ impl Worker<'_, '_> {
     fn attempt(
         &mut self,
         dispatch: &Dispatch<'_>,
+        slot: &'e Slot<'c>,
         deadline_effort: Option<f64>,
         tracer: &Tracer,
     ) -> (JobOutcome, JobAccounting) {
-        let executor = self.executor;
         let job = dispatch.job;
         let engine = match self.engines.entry(job.scenario) {
             Entry::Occupied(entry) => entry.into_mut(),
             Entry::Vacant(entry) => {
                 let built = Engine::builder()
-                    .sut(&executor.scenarios()[job.scenario].sut)
-                    .dyn_backend(executor.backends[job.scenario].as_ref())
-                    .cache(executor.caches[job.scenario].clone())
+                    .sut(&slot.scenario.sut)
+                    .dyn_backend(slot.backend.as_ref())
+                    .cache(slot.cache.clone())
                     .build();
                 match built {
                     Ok(engine) => entry.insert(engine),
@@ -567,38 +619,14 @@ fn failed(error: String) -> JobOutcome {
     }
 }
 
-/// Builds one thermal backend per scenario, sequentially (so the operator
-/// cache's hit/miss counters stay a deterministic function of the corpus),
-/// collapsing same-key scenarios onto shared instances when the cache is
-/// enabled.
-fn build_backends(
-    config: &ServiceConfig,
-    corpus: &Corpus,
-    operator_cache: &OperatorCacheHandle,
-) -> Result<Vec<Arc<dyn ThermalBackend>>> {
-    corpus
-        .scenarios()
-        .iter()
-        .map(|scenario| {
-            if config.operator_cache {
-                operator_cache.get_or_try_build(config.backend.key(scenario), || {
-                    config.backend.build(scenario)
-                })
-            } else {
-                config.backend.build(scenario)
-            }
-        })
-        .collect()
-}
-
-/// Groups the corpus's phase-1 characterisation lanes — one (scenario,
-/// core) single-core session each — by operator key and session
-/// duration, advances each group through the shared backend's multi-RHS
-/// batch, and publishes the results to the scenarios' session stores.
-/// Returns the number of prewarmed lanes.
+/// Groups the phase-1 characterisation lanes of the `added` slots — one
+/// (scenario, core) single-core session each — by operator key and
+/// session duration, advances each group through the shared backend's
+/// multi-RHS batch, and publishes the results to the scenarios' session
+/// stores. Returns the number of prewarmed lanes.
 ///
 /// The grouping and iteration order are deterministic (sorted by key,
-/// then corpus order within a group), the per-lane results are
+/// then `added` order within a group), the per-lane results are
 /// bit-identical to what the scheduler's own phase 1 would compute, and
 /// a group that fails to simulate is simply skipped — its jobs compute
 /// phase 1 themselves and surface the error through the normal per-job
@@ -611,9 +639,8 @@ fn build_backends(
 /// entries.
 fn prewarm_same_shape(
     config: &ServiceConfig,
-    corpus: &Corpus,
-    backends: &[Arc<dyn ThermalBackend>],
-    caches: &[SessionCacheHandle],
+    slots: &BTreeMap<usize, Slot<'_>>,
+    added: &[usize],
 ) -> usize {
     if !config.backend.batches_sessions() {
         return 0;
@@ -624,7 +651,8 @@ fn prewarm_same_shape(
     // function of the duration).
     type PrewarmGroups = BTreeMap<(String, u64), Vec<(usize, usize, f64)>>;
     let mut groups = PrewarmGroups::new();
-    for (index, scenario) in corpus.scenarios().iter().enumerate() {
+    for &index in added {
+        let scenario = &slots[&index].scenario;
         let key = config.backend.key(scenario).to_string();
         for core in 0..scenario.sut.core_count() {
             let session = TestSession::new([core], &scenario.sut);
@@ -641,8 +669,8 @@ fn prewarm_same_shape(
         let powers: std::result::Result<Vec<PowerMap>, _> = lanes
             .iter()
             .map(|&(scenario, core, _)| {
-                TestSession::new([core], &corpus.scenarios()[scenario].sut)
-                    .power_map(&corpus.scenarios()[scenario].sut)
+                let sut = &slots[&scenario].scenario.sut;
+                TestSession::new([core], sut).power_map(sut)
             })
             .collect();
         let Ok(powers) = powers else { continue };
@@ -650,7 +678,7 @@ fn prewarm_same_shape(
         // (the operator cache collapses them when enabled; private
         // builds are deterministic replicas when not), so the group's
         // first backend serves every lane.
-        let backend = backends[lanes[0].0].as_ref();
+        let backend = slots[&lanes[0].0].backend.as_ref();
         let Ok(results) = backend.simulate_sessions(&powers, duration) else {
             continue;
         };
@@ -664,7 +692,7 @@ fn prewarm_same_shape(
         }
         prewarmed += lanes.len();
         for (scenario, batch) in per_scenario {
-            caches[scenario].store_batch(batch);
+            slots[&scenario].cache.store_batch(batch);
         }
     }
     prewarmed

@@ -418,9 +418,8 @@ impl Shared {
     ) {
         let scenario_name = self
             .executor
-            .scenarios()
-            .get(scenario)
-            .map_or("unknown", |s| s.name.as_str());
+            .slot(scenario)
+            .map_or("unknown", |slot| slot.scenario.name.as_str());
         self.executor.tally_unrun(&outcome);
         handle.resolve(JobResult {
             index: seq as usize,
@@ -519,7 +518,11 @@ impl Frontend {
         }
         let shared = Arc::new(Shared {
             config,
-            executor: Executor::build(config.service, Cow::Owned(corpus), tracer)?,
+            executor: Executor::build(
+                config.service,
+                corpus.into_scenarios().into_iter().map(Cow::Owned),
+                tracer,
+            )?,
             queue: Mutex::new(QueueState {
                 queue: BTreeMap::new(),
                 accepting: true,
@@ -556,10 +559,10 @@ impl Frontend {
 
         let rejection = if !state.accepting {
             Some(Rejected::Draining)
-        } else if submission.scenario >= self.shared.executor.scenarios().len() {
+        } else if self.shared.executor.slot(submission.scenario).is_none() {
             Some(Rejected::UnknownScenario {
                 scenario: submission.scenario,
-                scenario_count: self.shared.executor.scenarios().len(),
+                scenario_count: self.shared.executor.scenario_count(),
             })
         } else if submission
             .deadline_effort

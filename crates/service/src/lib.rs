@@ -29,13 +29,15 @@
 //!    effort-budget deadlines enforced at the scheduler's cooperative
 //!    checkpoints, and graceful drain ([`Frontend::drain`]).
 //! 5. **A multi-process sharding coordinator** ([`MultiprocCoordinator`]):
-//!    shards a corpus round-robin across real worker processes (the
-//!    `thermsched worker` binary, or anything speaking the same framed
-//!    protocol via [`worker_serve`]) over stdin/stdout pipes, merges the
-//!    results and per-worker stats into one [`ServiceReport`], and survives
-//!    workers dying mid-run by reassigning their unfinished jobs
-//!    ([`ServiceStats::worker_crashes`]). Per-job results remain
-//!    byte-identical at any process count.
+//!    deals whole scenario groups (every job of one scenario) across real
+//!    worker processes (the `thermsched worker` binary, or anything
+//!    speaking the same framed protocol via [`worker_serve`]) over
+//!    stdin/stdout pipes, shipping each scenario's definition only to the
+//!    worker that runs it. It merges the results and per-worker stats into
+//!    one [`ServiceReport`], and survives workers dying mid-run by
+//!    reassigning their unfinished jobs ([`ServiceStats::worker_crashes`]).
+//!    Per-job results remain byte-identical at any process count, and the
+//!    store counters equal those of a 1-worker in-process run.
 //!
 //! The runner, the front-end and the multi-process worker are three
 //! dispatch fronts over one crate-private execution core: it builds the

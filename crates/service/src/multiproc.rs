@@ -1,9 +1,9 @@
 //! Multi-process sharding: a coordinator that spawns `thermsched worker`
-//! child processes and streams framed jobs to them over stdin/stdout pipes.
-//! Each worker is the third dispatch front over the shared execution core
-//! ([`crate::executor`]): it runs the jobs its pipe delivers, and the
-//! coordinator merges the workers' RESULT and FIN frames into the same
-//! tally an in-process run aggregates.
+//! child processes and streams framed scenario groups to them over
+//! stdin/stdout pipes. Each worker is the third dispatch front over the
+//! shared execution core ([`crate::executor`]): it runs the jobs its pipe
+//! delivers, and the coordinator merges the workers' RESULT and FIN frames
+//! into the same tally an in-process run aggregates.
 //!
 //! The per-job results of a batch are a pure function of the corpus (see
 //! [`crate::report`] for the determinism boundary), so sharding jobs over
@@ -11,9 +11,23 @@
 //! report's job list is byte-identical at any process count and identical
 //! to an in-process [`crate::ServiceRunner`] run. What the coordinator adds
 //! is fault isolation at the process boundary — a worker that panics hard,
-//! aborts or closes its pipe mid-job is detected (EOF or a malformed frame
-//! on its stdout), counted in [`crate::ServiceStats::worker_crashes`], and
-//! its unacknowledged jobs are reassigned to a surviving worker.
+//! aborts, closes its pipe mid-job or sends a frame the coordinator cannot
+//! accept is declared dead, counted in
+//! [`crate::ServiceStats::worker_crashes`], and its unresolved jobs are
+//! reassigned to a surviving worker.
+//!
+//! # Sharding
+//!
+//! The unit of sharding is the *scenario group*: every job of one
+//! scenario. The jobs of a scenario share its session store, so a group
+//! kept on one worker keeps the store hits of an in-process run. The
+//! coordinator deals whole groups up front, longest-processing-time-first
+//! over a `cores × jobs` cost estimate, and each worker receives its groups
+//! in scenario order. Every scenario's jobs therefore run in corpus order on
+//! one single-threaded worker, and the merged store counters equal those
+//! of a 1-worker in-process run. Reassignment after a crash stays
+//! group-granular: the dead worker's unresolved jobs move to the
+//! least-loaded survivor, grouped by scenario.
 //!
 //! # Protocol
 //!
@@ -23,22 +37,32 @@
 //!
 //! | kind | direction | payload |
 //! |---|---|---|
-//! | `HELLO` (1) | → worker | `{protocol, config, corpus, trace?}` |
-//! | `JOB` (2) | → worker | `{index, job}` (global corpus index) |
-//! | `RESULT` (3) | ← worker | `{index, result, accounting...}` |
+//! | `HELLO` (1) | → worker | `{protocol, worker, config, trace?}` |
+//! | `GROUP` (2) | → worker | `{scenario, definition?, jobs: [{index, job}]}` (global indices) |
+//! | `RESULT` (3) | ← worker | `{index, result, accounting...}`, one per job |
 //! | `SHUTDOWN` (4) | → worker | `{}` |
 //! | `FIN` (5) | ← worker | worker-local stats (store, caches, prewarm), plus `metrics`/`spans`/`dropped_spans` when tracing |
 //!
-//! The `trace` flag and the FIN trace fields are optional on both sides
-//! (absent means "not tracing"), so mixed-version coordinator/worker pairs
-//! keep interoperating and `PROTOCOL_VERSION` stays at 1.
+//! A scenario's `definition` travels once per worker, with the first group
+//! of that scenario the worker receives. The worker builds the scenario's
+//! backend and session store, and prewarms the store, when the definition
+//! arrives; a group or job naming a scenario the worker was never sent,
+//! or a second definition of one, is a protocol violation. The coordinator
+//! spawns every worker before it encodes anything: per-worker writer
+//! threads encode the frames, so encoding overlaps process start and the
+//! workers' decoding.
+//!
+//! `PROTOCOL_VERSION` 2 introduced `GROUP`; version 1 shipped the whole
+//! corpus in `HELLO` and one `JOB` frame per job. The `trace` flag and the
+//! FIN trace fields are optional (absent means "not tracing").
 //!
 //! The job index crosses the boundary because fault injection and retry
 //! jitter are keyed by the *global* corpus index — a worker that hashed its
 //! local receive order instead would break the byte-identity contract.
 
 use std::borrow::Cow;
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
@@ -53,16 +77,16 @@ use thermsched_wire::{decode_value, encode_value, obj, JsonValue, Wire, WireErro
 
 use crate::executor::{Dispatch, Executor, JobAccounting, SetupStats, Tally};
 use crate::{
-    ClockKind, Corpus, JobResult, JobSpec, Result, ServiceConfig, ServiceError, ServiceReport,
-    ServiceStats,
+    ClockKind, Corpus, JobResult, JobSpec, Result, Scenario, ServiceConfig, ServiceError,
+    ServiceReport, ServiceStats,
 };
 
 /// Version of the coordinator↔worker protocol, checked in `HELLO`.
-pub const PROTOCOL_VERSION: u64 = 1;
+pub const PROTOCOL_VERSION: u64 = 2;
 
 /// Frame kinds of the coordinator↔worker protocol.
 const FRAME_HELLO: u8 = 1;
-const FRAME_JOB: u8 = 2;
+const FRAME_GROUP: u8 = 2;
 const FRAME_RESULT: u8 = 3;
 const FRAME_SHUTDOWN: u8 = 4;
 const FRAME_FIN: u8 = 5;
@@ -76,8 +100,9 @@ fn multiproc_error(message: impl Into<String>) -> ServiceError {
 /// Configuration of a [`MultiprocCoordinator`].
 #[derive(Debug, Clone)]
 pub struct MultiprocConfig {
-    /// Worker processes to spawn. Jobs are sharded round-robin: job `i`
-    /// starts on worker `i % processes`.
+    /// Worker processes to spawn (at most one per scenario). Whole
+    /// scenario groups are dealt to them, longest-processing-time-first;
+    /// see the [module docs](self#sharding).
     pub processes: usize,
     /// Program to spawn as the worker (typically the `thermsched` binary).
     pub program: std::path::PathBuf,
@@ -99,7 +124,8 @@ pub struct MultiprocCoordinator {
     config: MultiprocConfig,
 }
 
-/// What one worker's reader thread forwards to the coordinator loop.
+/// What one worker's reader and writer threads forward to the coordinator
+/// loop.
 enum Event {
     /// A job result, with its timing-side accounting.
     Result {
@@ -112,6 +138,8 @@ enum Event {
     Fin { worker: usize, fin: Fin },
     /// The worker's pipe closed (or produced garbage) — it is dead.
     Dead { worker: usize },
+    /// A writer thread could not encode a frame of the corpus.
+    Unencodable(WireError),
 }
 
 /// The payload of a worker's `FIN` frame.
@@ -136,10 +164,132 @@ impl Fin {
     }
 }
 
+/// Jobs of one scenario, by global index in corpus order: the unit the
+/// coordinator deals and reassigns.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Group {
+    scenario: usize,
+    jobs: Vec<usize>,
+}
+
 /// What the coordinator hands a worker's writer thread.
 enum WriterMsg {
-    Job(usize),
+    /// A group, with the scenario's definition when `define` is set.
+    Group {
+        group: Group,
+        define: bool,
+    },
     Shutdown,
+}
+
+/// Deals the corpus's scenario groups over at most `processes` workers,
+/// longest-processing-time-first on a `cores × jobs` cost estimate: the
+/// costliest remaining group goes to the least-loaded worker (equal costs
+/// in scenario order, equal loads to the lower worker index). Each
+/// worker's groups come back in scenario order; a corpus without jobs
+/// deals to no worker at all.
+fn deal(corpus: &Corpus, processes: usize) -> Vec<Vec<Group>> {
+    let mut by_scenario: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    for (index, job) in corpus.jobs().iter().enumerate() {
+        by_scenario.entry(job.scenario).or_default().push(index);
+    }
+    let mut groups: Vec<(usize, Group)> = by_scenario
+        .into_iter()
+        .map(|(scenario, jobs)| {
+            let cost = corpus.scenarios()[scenario].sut.core_count() * jobs.len();
+            (cost, Group { scenario, jobs })
+        })
+        .collect();
+    groups.sort_by_key(|&(cost, _)| Reverse(cost));
+    let mut shards: Vec<(usize, Vec<Group>)> = vec![(0, Vec::new()); processes.min(groups.len())];
+    for (cost, group) in groups {
+        let (load, shard) = shards
+            .iter_mut()
+            .min_by_key(|(load, _)| *load)
+            .expect("there is a shard whenever there is a group");
+        *load += cost;
+        shard.push(group);
+    }
+    shards
+        .into_iter()
+        .map(|(_, mut shard)| {
+            shard.sort_by_key(|group| group.scenario);
+            shard
+        })
+        .collect()
+}
+
+/// The coordinator's record of which worker holds what.
+struct Fleet<'a> {
+    corpus: &'a Corpus,
+    writers: &'a mut [Option<mpsc::Sender<WriterMsg>>],
+    /// Unresolved job indices per worker.
+    assigned: Vec<BTreeSet<usize>>,
+    /// Scenarios whose definition each worker has been sent.
+    shipped: Vec<BTreeSet<usize>>,
+    dead: Vec<bool>,
+}
+
+impl<'a> Fleet<'a> {
+    fn new(corpus: &'a Corpus, writers: &'a mut [Option<mpsc::Sender<WriterMsg>>]) -> Self {
+        let workers = writers.len();
+        Fleet {
+            corpus,
+            writers,
+            assigned: vec![BTreeSet::new(); workers],
+            shipped: vec![BTreeSet::new(); workers],
+            dead: vec![false; workers],
+        }
+    }
+
+    /// Hands `group` to `worker`, with the scenario's definition unless
+    /// the worker already has it.
+    fn send(&mut self, worker: usize, group: Group) {
+        let define = self.shipped[worker].insert(group.scenario);
+        self.assigned[worker].extend(&group.jobs);
+        if let Some(tx) = &self.writers[worker] {
+            let _ = tx.send(WriterMsg::Group { group, define });
+        }
+    }
+
+    /// Declares `worker` dead and hands its unresolved jobs, regrouped by
+    /// scenario, to the least-loaded survivor. Returns whether the worker
+    /// was still alive (a crash to count).
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::Multiproc`] if jobs are unresolved and no worker
+    /// survives.
+    fn bury(&mut self, worker: usize) -> Result<bool> {
+        if self.dead[worker] {
+            return Ok(false);
+        }
+        self.dead[worker] = true;
+        self.writers[worker] = None;
+        let orphans = std::mem::take(&mut self.assigned[worker]);
+        if orphans.is_empty() {
+            return Ok(true);
+        }
+        let workers = self.writers.len();
+        let survivor = (0..workers)
+            .filter(|&w| !self.dead[w])
+            .min_by_key(|&w| self.assigned[w].len())
+            .ok_or_else(|| {
+                multiproc_error(format!(
+                    "all {workers} workers died with {} jobs unresolved",
+                    orphans.len()
+                ))
+            })?;
+        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for index in orphans {
+            let scenario = self.corpus.jobs()[index].scenario;
+            groups.entry(scenario).or_default().push(index);
+        }
+        for (scenario, jobs) in groups {
+            self.send(survivor, Group { scenario, jobs });
+        }
+        Ok(true)
+    }
 }
 
 impl MultiprocCoordinator {
@@ -187,33 +337,18 @@ impl MultiprocCoordinator {
         tracer: &Tracer,
         registry: &MetricsRegistry,
     ) -> Result<ServiceReport> {
-        let jobs = corpus.jobs();
         let started = Instant::now();
-        if jobs.is_empty() {
+        let shards = deal(corpus, self.config.processes);
+        if shards.is_empty() {
             let stats = self.stats(corpus, &Tally::default(), started);
             return Ok(ServiceReport::new(Vec::new(), stats));
         }
-        let processes = self.config.processes.min(jobs.len());
-        let config_wire = self.config.service.to_wire();
-        let corpus_wire = corpus.to_wire();
-        let hellos: Vec<Vec<u8>> = (0..processes)
-            .map(|worker| {
-                encode_value(
-                    &obj()
-                        .field("protocol", PROTOCOL_VERSION)
-                        .field("worker", worker)
-                        .field("config", config_wire.clone())
-                        .field("corpus", corpus_wire.clone())
-                        .field("trace", tracer.is_enabled())
-                        .build(),
-                )
-            })
-            .collect::<std::result::Result<_, WireError>>()?;
 
-        let mut children: Vec<Child> = Vec::with_capacity(processes);
-        let mut stdins = Vec::with_capacity(processes);
-        let mut stdouts = Vec::with_capacity(processes);
-        for worker in 0..processes {
+        // Spawn first: the writer threads encode every frame, so encoding
+        // overlaps process start and the workers' decoding.
+        let mut children: Vec<Child> = Vec::with_capacity(shards.len());
+        let mut pipes = Vec::with_capacity(shards.len());
+        for worker in 0..shards.len() {
             let mut child = Command::new(&self.config.program)
                 .args(&self.config.args)
                 .stdin(Stdio::piped())
@@ -221,55 +356,44 @@ impl MultiprocCoordinator {
                 .stderr(Stdio::inherit())
                 .spawn()
                 .map_err(|e| multiproc_error(format!("spawning worker {worker}: {e}")))?;
-            stdins.push(child.stdin.take().expect("stdin was piped"));
-            stdouts.push(child.stdout.take().expect("stdout was piped"));
+            let stdin = child.stdin.take().expect("stdin was piped");
+            let stdout = child.stdout.take().expect("stdout was piped");
+            pipes.push((stdin, stdout));
             children.push(child);
         }
 
-        let jobs_wire: Vec<Vec<u8>> = jobs
-            .iter()
-            .enumerate()
-            .map(|(index, job)| {
-                encode_value(
-                    &obj()
-                        .field("index", index)
-                        .field("job", job.to_wire())
-                        .build(),
-                )
-            })
-            .collect::<std::result::Result<_, WireError>>()?;
-
+        let (config, trace) = (&self.config.service, tracer.is_enabled());
         let (event_tx, event_rx) = mpsc::channel::<Event>();
         let outcome = std::thread::scope(|scope| {
-            let mut writer_txs: Vec<Option<mpsc::Sender<WriterMsg>>> = Vec::new();
-            for (worker, stdin) in stdins.into_iter().enumerate() {
+            let mut writers = Vec::with_capacity(pipes.len());
+            for (worker, (stdin, stdout)) in pipes.into_iter().enumerate() {
                 let (tx, rx) = mpsc::channel::<WriterMsg>();
-                let hello = &hellos[worker];
-                let jobs_wire = &jobs_wire;
-                scope.spawn(move || worker_writer(stdin, rx, hello, jobs_wire));
-                writer_txs.push(Some(tx));
-                let tx = event_tx.clone();
-                let stdout = stdouts.remove(0);
-                scope.spawn(move || worker_reader(worker, stdout, &tx));
+                let events = event_tx.clone();
+                scope.spawn(move || {
+                    worker_writer(worker, stdin, &rx, config, trace, corpus, &events);
+                });
+                writers.push(Some(tx));
+                let events = event_tx.clone();
+                scope.spawn(move || worker_reader(worker, stdout, &events));
             }
             drop(event_tx);
             let result = self.coordinate(
                 corpus,
-                processes,
-                &mut writer_txs,
+                shards,
+                &mut writers,
                 &event_rx,
                 started,
                 tracer,
                 registry,
             );
-            // Readers block on the children's stdout; make sure every child
-            // is gone (errors included) before the scope tries to join them.
-            if result.is_err() {
-                for child in &mut children {
-                    let _ = child.kill();
-                }
+            // Readers block on the children's stdout, so make sure every
+            // child is gone before the scope joins them: after an error
+            // every worker may still be running, and so may one condemned
+            // for a bad frame. Workers that sent FIN have already exited.
+            for child in &mut children {
+                let _ = child.kill();
             }
-            drop(writer_txs);
+            drop(writers);
             result
         });
         for mut child in children {
@@ -278,8 +402,13 @@ impl MultiprocCoordinator {
         outcome
     }
 
-    /// The coordinator event loop: collect results, reassign the jobs of
-    /// dead workers, then shut the survivors down and merge their stats.
+    /// The coordinator event loop: deal the groups, collect results,
+    /// reassign the jobs of dead workers, then shut the survivors down and
+    /// merge their stats.
+    ///
+    /// A worker is dead when its pipe closes, when it sends a malformed
+    /// frame, a `FIN` before `SHUTDOWN`, or a result for a job it does not
+    /// hold (out of range, another worker's, or already resolved).
     ///
     /// Worker FIN frames carry each worker's metrics snapshot and span
     /// records when tracing; the coordinator folds those straight into
@@ -289,108 +418,84 @@ impl MultiprocCoordinator {
     fn coordinate(
         &self,
         corpus: &Corpus,
-        processes: usize,
-        writer_txs: &mut [Option<mpsc::Sender<WriterMsg>>],
+        shards: Vec<Vec<Group>>,
+        writers: &mut [Option<mpsc::Sender<WriterMsg>>],
         events: &mpsc::Receiver<Event>,
         started: Instant,
         tracer: &Tracer,
         registry: &MetricsRegistry,
     ) -> Result<ServiceReport> {
         let jobs = corpus.jobs();
-        let mut assigned: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); processes];
-        for index in 0..jobs.len() {
-            let worker = index % processes;
-            assigned[worker].insert(index);
-            if let Some(tx) = &writer_txs[worker] {
-                let _ = tx.send(WriterMsg::Job(index));
+        let mut fleet = Fleet::new(corpus, writers);
+        for (worker, shard) in shards.into_iter().enumerate() {
+            for group in shard {
+                fleet.send(worker, group);
             }
         }
 
         let mut results: Vec<Option<JobResult>> = vec![None; jobs.len()];
         let mut resolved = 0usize;
-        let mut dead = vec![false; processes];
-        let mut finished = vec![false; processes];
         let mut tally = Tally::default();
-
         while resolved < jobs.len() {
             let event = events
                 .recv()
                 .map_err(|_| multiproc_error("every worker pipe closed with jobs unresolved"))?;
-            match event {
+            let worker = match event {
                 Event::Result {
                     worker,
                     index,
                     result,
                     accounting,
                 } => {
-                    assigned[worker].remove(&index);
-                    if results[index].is_none() {
+                    if fleet.assigned[worker].remove(&index) {
                         resolved += 1;
                         tally.record(&result.outcome, Some(&accounting));
                         results[index] = Some(result);
-                    }
-                }
-                Event::Fin { worker, fin } => {
-                    finished[worker] = true;
-                    fin.absorb(&mut tally, tracer, registry);
-                }
-                Event::Dead { worker } => {
-                    if dead[worker] || finished[worker] {
                         continue;
                     }
-                    dead[worker] = true;
-                    tally.worker_crashes += 1;
-                    writer_txs[worker] = None;
-                    let orphans = std::mem::take(&mut assigned[worker]);
-                    if orphans.is_empty() {
-                        continue;
-                    }
-                    let Some(survivor) = (0..processes).find(|&w| !dead[w]) else {
-                        return Err(multiproc_error(format!(
-                            "all {processes} workers died with {} jobs unresolved",
-                            jobs.len() - resolved
-                        )));
-                    };
-                    for index in orphans {
-                        assigned[survivor].insert(index);
-                        if let Some(tx) = &writer_txs[survivor] {
-                            let _ = tx.send(WriterMsg::Job(index));
-                        }
-                    }
+                    worker
                 }
+                Event::Fin { worker, .. } | Event::Dead { worker } => worker,
+                Event::Unencodable(error) => return Err(error.into()),
+            };
+            if fleet.bury(worker)? {
+                tally.worker_crashes += 1;
             }
         }
 
         // Every job is resolved; ask the survivors for their FIN stats.
+        let workers = fleet.dead.len();
+        let mut finished = vec![false; workers];
         let mut awaiting = 0usize;
-        for worker in 0..processes {
-            if !dead[worker] && !finished[worker] {
-                if let Some(tx) = &writer_txs[worker] {
-                    let _ = tx.send(WriterMsg::Shutdown);
-                    awaiting += 1;
-                }
+        for worker in 0..workers {
+            if let Some(tx) = &fleet.writers[worker] {
+                let _ = tx.send(WriterMsg::Shutdown);
+                awaiting += 1;
             }
         }
         while awaiting > 0 {
-            match events.recv() {
-                Ok(Event::Fin { worker, fin }) => {
-                    if !finished[worker] {
-                        finished[worker] = true;
-                        fin.absorb(&mut tally, tracer, registry);
-                        awaiting -= 1;
-                    }
+            let Ok(event) = events.recv() else { break };
+            let (worker, fin) = match event {
+                Event::Fin { worker, fin } => (worker, Some(fin)),
+                // Every job is resolved, so any result is a stray.
+                Event::Result { worker, .. } | Event::Dead { worker } => (worker, None),
+                Event::Unencodable(_) => continue,
+            };
+            if fleet.dead[worker] || finished[worker] {
+                continue;
+            }
+            awaiting -= 1;
+            match fin {
+                Some(fin) => {
+                    finished[worker] = true;
+                    fin.absorb(&mut tally, tracer, registry);
                 }
-                Ok(Event::Dead { worker }) => {
-                    // Died between its last result and FIN: no orphans to
-                    // reassign, but it is a crash all the same.
-                    if !dead[worker] && !finished[worker] {
-                        dead[worker] = true;
-                        tally.worker_crashes += 1;
-                        awaiting -= 1;
-                    }
+                // Died between its last result and FIN: no orphans to
+                // reassign, but it is a crash all the same.
+                None => {
+                    fleet.bury(worker)?;
+                    tally.worker_crashes += 1;
                 }
-                Ok(Event::Result { .. }) => {}
-                Err(_) => break,
             }
         }
 
@@ -415,28 +520,82 @@ impl MultiprocCoordinator {
     }
 }
 
-/// Writer thread of one worker: `HELLO`, then jobs as the coordinator
-/// assigns them, then `SHUTDOWN`. Write errors end the thread quietly — the
-/// worker's reader will observe the death and the coordinator reassigns.
+/// Encodes the `HELLO` frame payload greeting `worker`.
+fn encode_hello(
+    worker: usize,
+    config: &ServiceConfig,
+    trace: bool,
+) -> std::result::Result<Vec<u8>, WireError> {
+    encode_value(
+        &obj()
+            .field("protocol", PROTOCOL_VERSION)
+            .field("worker", worker)
+            .field("config", config.to_wire())
+            .field("trace", trace)
+            .build(),
+    )
+}
+
+/// Encodes a `GROUP` frame payload: the group's jobs, preceded by the
+/// scenario's definition when `define` is set.
+fn encode_group(
+    corpus: &Corpus,
+    group: &Group,
+    define: bool,
+) -> std::result::Result<Vec<u8>, WireError> {
+    let mut frame = obj().field("scenario", group.scenario);
+    if define {
+        frame = frame.field("definition", corpus.scenarios()[group.scenario].to_wire());
+    }
+    let jobs: Vec<JsonValue> = group
+        .jobs
+        .iter()
+        .map(|&index| {
+            obj()
+                .field("index", index)
+                .field("job", corpus.jobs()[index].to_wire())
+                .build()
+        })
+        .collect();
+    encode_value(&frame.field("jobs", jobs).build())
+}
+
+/// Writer thread of one worker: `HELLO`, then groups as the coordinator
+/// assigns them, then `SHUTDOWN`, each encoded here. Write errors end the
+/// thread quietly — the worker's reader will observe the death and the
+/// coordinator reassigns; an encoding error ends the run.
 fn worker_writer(
+    worker: usize,
     stdin: impl Write,
-    jobs: mpsc::Receiver<WriterMsg>,
-    hello: &[u8],
-    jobs_wire: &[Vec<u8>],
+    msgs: &mpsc::Receiver<WriterMsg>,
+    config: &ServiceConfig,
+    trace: bool,
+    corpus: &Corpus,
+    events: &mpsc::Sender<Event>,
 ) {
     let mut stdin = BufWriter::new(stdin);
-    if write_frame(&mut stdin, FRAME_HELLO, hello).is_err() {
+    let hello = match encode_hello(worker, config, trace) {
+        Ok(hello) => hello,
+        Err(error) => {
+            let _ = events.send(Event::Unencodable(error));
+            return;
+        }
+    };
+    if write_frame(&mut stdin, FRAME_HELLO, &hello).is_err() {
         return;
     }
-    while let Ok(msg) = jobs.recv() {
-        let result = match msg {
-            WriterMsg::Job(index) => write_frame(&mut stdin, FRAME_JOB, &jobs_wire[index]),
-            WriterMsg::Shutdown => {
-                let _ = write_frame(&mut stdin, FRAME_SHUTDOWN, &[]);
-                return;
-            }
+    while let Ok(msg) = msgs.recv() {
+        let (kind, payload) = match msg {
+            WriterMsg::Group { group, define } => match encode_group(corpus, &group, define) {
+                Ok(payload) => (FRAME_GROUP, payload),
+                Err(error) => {
+                    let _ = events.send(Event::Unencodable(error));
+                    return;
+                }
+            },
+            WriterMsg::Shutdown => (FRAME_SHUTDOWN, Vec::new()),
         };
-        if result.is_err() {
+        if write_frame(&mut stdin, kind, &payload).is_err() || kind == FRAME_SHUTDOWN {
             return;
         }
     }
@@ -532,8 +691,7 @@ fn decode_event(worker: usize, frame: &Frame) -> Option<Event> {
 
 /// Crash-test hook for [`worker_serve`]: after resolving `after_jobs`
 /// jobs the worker silently returns — closing its pipes mid-batch exactly
-/// like a crashed process would — instead of answering the next `JOB`
-/// frame. With `only_worker` set, the plan only arms on the process the
+/// like a crashed process would — instead of running its next job. With `only_worker` set, the plan only arms on the process the
 /// coordinator greeted with that worker index, so a fleet sharing one
 /// command line can lose exactly one member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -555,8 +713,9 @@ pub struct CrashPlan {
 ///
 /// [`ServiceError::Wire`] on a malformed frame from the coordinator,
 /// [`ServiceError::Multiproc`] on a protocol violation (bad version, a
-/// frame before `HELLO`), and construction errors from building the
-/// scenario backends.
+/// frame before `HELLO`, a group or job naming a scenario this worker was
+/// never sent, a second definition of a scenario), and construction errors
+/// from building a scenario's backend.
 pub fn worker_serve(input: impl Read, output: impl Write, crash: Option<CrashPlan>) -> Result<()> {
     let mut input = BufReader::new(input);
     let mut output = BufWriter::new(output);
@@ -580,7 +739,6 @@ pub fn worker_serve(input: impl Read, output: impl Write, crash: Option<CrashPla
     let me = hello.field_usize("hello_frame", "worker")?;
     let crash = crash.filter(|plan| plan.only_worker.is_none() || plan.only_worker == Some(me));
     let config = ServiceConfig::from_wire(hello.field("hello_frame", "config")?)?;
-    let corpus = Corpus::from_wire(hello.field("hello_frame", "corpus")?)?;
     // The trace flag is optional in HELLO (older coordinators omit it);
     // absent means "not tracing" and the worker pays zero observability
     // cost. The worker's span clock follows the service clock so Virtual
@@ -599,10 +757,10 @@ pub fn worker_serve(input: impl Read, output: impl Write, crash: Option<CrashPla
         Tracer::disabled()
     };
 
-    // Same core as the in-process executors; jobs then run sequentially on
+    // Same core as the in-process executors, started empty: a scenario's
+    // slot is built when its definition arrives. Jobs run sequentially on
     // this thread — the processes are the parallelism.
-    let executor = Executor::build(config, Cow::Owned(corpus), &tracer)?;
-    let mut worker = executor.worker();
+    let mut executor = Executor::new(config, &tracer);
     let started = Instant::now();
     let mut resolved = 0usize;
     loop {
@@ -610,36 +768,58 @@ pub fn worker_serve(input: impl Read, output: impl Write, crash: Option<CrashPla
             return Ok(()); // Coordinator closed the pipe; exit quietly.
         };
         match frame.kind {
-            FRAME_JOB => {
-                if crash.is_some_and(|plan| resolved >= plan.after_jobs) {
-                    // Crash-test hook: swallow the job and die with it
-                    // unacknowledged, like a worker that crashed mid-job.
-                    return Ok(());
-                }
+            FRAME_GROUP => {
                 let payload = decode_value(&frame.payload)?;
-                let index = payload.field_usize("job_frame", "index")?;
-                let job = JobSpec::from_wire(payload.field("job_frame", "job")?)?;
-                let scenarios = executor.scenarios().len();
-                if job.scenario >= scenarios {
+                let scenario = payload.field_usize("group_frame", "scenario")?;
+                if let Some(definition) = payload.get("definition") {
+                    if executor.slot(scenario).is_some() {
+                        return Err(multiproc_error(format!(
+                            "scenario {scenario} was defined twice"
+                        )));
+                    }
+                    let definition = Scenario::from_wire(definition)?;
+                    executor.add([(scenario, Cow::Owned(definition))])?;
+                } else if executor.slot(scenario).is_none() {
                     return Err(multiproc_error(format!(
-                        "job {index} references scenario {} of {scenarios}",
-                        job.scenario
+                        "group of scenario {scenario}, which this worker was never sent"
                     )));
                 }
-                let (result, accounting) = worker.run(Dispatch::batch(index, &job, Instant::now()));
-                let reply = encode_value(
-                    &obj()
-                        .field("index", index)
-                        .field("result", result.to_wire())
-                        .field("warm_cache_hits", accounting.warm_cache_hits)
-                        .field("cached_validations", accounting.cached_validations)
-                        .field("injected_faults", accounting.injected_faults)
-                        .field("retried_attempts", accounting.retried_attempts)
-                        .field("latency_seconds", accounting.latency_seconds)
-                        .build(),
-                )?;
-                write_frame(&mut output, FRAME_RESULT, &reply).map_err(ServiceError::Wire)?;
-                resolved += 1;
+                let mut jobs = Vec::new();
+                for job in payload.field_array("group_frame", "jobs")? {
+                    let index = job.field_usize("job_frame", "index")?;
+                    let job = JobSpec::from_wire(job.field("job_frame", "job")?)?;
+                    if job.scenario != scenario {
+                        return Err(multiproc_error(format!(
+                            "job {index} in the group of scenario {scenario} references \
+                             scenario {}",
+                            job.scenario
+                        )));
+                    }
+                    jobs.push((index, job));
+                }
+                let mut worker = executor.worker();
+                for (index, job) in &jobs {
+                    if crash.is_some_and(|plan| resolved >= plan.after_jobs) {
+                        // Crash-test hook: swallow the job and die with it
+                        // unacknowledged, like a worker that crashed mid-job.
+                        return Ok(());
+                    }
+                    let (result, accounting) =
+                        worker.run(Dispatch::batch(*index, job, Instant::now()));
+                    let reply = encode_value(
+                        &obj()
+                            .field("index", *index)
+                            .field("result", result.to_wire())
+                            .field("warm_cache_hits", accounting.warm_cache_hits)
+                            .field("cached_validations", accounting.cached_validations)
+                            .field("injected_faults", accounting.injected_faults)
+                            .field("retried_attempts", accounting.retried_attempts)
+                            .field("latency_seconds", accounting.latency_seconds)
+                            .build(),
+                    )?;
+                    write_frame(&mut output, FRAME_RESULT, &reply).map_err(ServiceError::Wire)?;
+                    resolved += 1;
+                }
             }
             FRAME_SHUTDOWN => {
                 let (stats, metrics) = executor.finish(1, started.elapsed().as_secs_f64());
@@ -694,16 +874,39 @@ mod tests {
         (result, replies)
     }
 
-    fn hello_payload(corpus: &Corpus) -> Vec<u8> {
+    /// A HELLO without the optional `trace` field.
+    fn hello_payload() -> Vec<u8> {
         encode_value(
             &obj()
                 .field("protocol", PROTOCOL_VERSION)
                 .field("worker", 0usize)
                 .field("config", ServiceConfig::default().to_wire())
-                .field("corpus", corpus.to_wire())
                 .build(),
         )
         .unwrap()
+    }
+
+    /// A GROUP frame of `corpus`'s jobs `indices`, all of `scenario`.
+    fn group_frame(corpus: &Corpus, scenario: usize, indices: &[usize], define: bool) -> Vec<u8> {
+        let group = Group {
+            scenario,
+            jobs: indices.to_vec(),
+        };
+        encode_group(corpus, &group, define).unwrap()
+    }
+
+    /// The GROUP frames that ship `indices` to one worker: one group per
+    /// scenario, in index order, each defining its scenario.
+    fn group_frames(corpus: &Corpus, indices: &[usize]) -> Vec<(u8, Vec<u8>)> {
+        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for &index in indices {
+            let scenario = corpus.jobs()[index].scenario;
+            groups.entry(scenario).or_default().push(index);
+        }
+        groups
+            .iter()
+            .map(|(&scenario, jobs)| (FRAME_GROUP, group_frame(corpus, scenario, jobs, true)))
+            .collect()
     }
 
     /// One scenario, two jobs (the default TL × STCL grid).
@@ -720,17 +923,10 @@ mod tests {
     #[test]
     fn worker_answers_jobs_and_fin_in_protocol_order() {
         let corpus = tiny_corpus();
-        let job = encode_value(
-            &obj()
-                .field("index", 0usize)
-                .field("job", corpus.jobs()[0].to_wire())
-                .build(),
-        )
-        .unwrap();
         let (result, replies) = serve(
             &[
-                (FRAME_HELLO, hello_payload(&corpus)),
-                (FRAME_JOB, job),
+                (FRAME_HELLO, hello_payload()),
+                (FRAME_GROUP, group_frame(&corpus, 0, &[0], true)),
                 (FRAME_SHUTDOWN, Vec::new()),
             ],
             None,
@@ -747,16 +943,14 @@ mod tests {
 
     #[test]
     fn worker_rejects_protocol_violations_with_typed_errors() {
-        let corpus = tiny_corpus();
         // A frame before HELLO.
-        let (result, _) = serve(&[(FRAME_JOB, Vec::new())], None);
+        let (result, _) = serve(&[(FRAME_GROUP, Vec::new())], None);
         assert!(matches!(result, Err(ServiceError::Multiproc { .. })));
         // A bad protocol version.
         let bad_version = encode_value(
             &obj()
                 .field("protocol", 99u64)
                 .field("config", ServiceConfig::default().to_wire())
-                .field("corpus", corpus.to_wire())
                 .build(),
         )
         .unwrap();
@@ -769,6 +963,67 @@ mod tests {
         let (result, replies) = serve(&[], None);
         result.unwrap();
         assert!(replies.is_empty());
+    }
+
+    /// A group or job naming a scenario the worker was never sent, and a
+    /// second definition of one, are typed protocol errors: the worker
+    /// must not index past its slots or silently replace a scenario.
+    #[test]
+    fn worker_rejects_unknown_and_redefined_scenarios_with_typed_errors() {
+        let corpus = ScenarioSpec {
+            scenarios: 2,
+            seed: 3,
+            ..ScenarioSpec::default()
+        }
+        .build()
+        .unwrap();
+        let scenario_of = |index: usize| corpus.jobs()[index].scenario;
+        let (first, other) = (0, corpus.jobs().len() - 1);
+        assert_ne!(scenario_of(first), scenario_of(other));
+        let hello = (FRAME_HELLO, hello_payload());
+
+        // A group whose scenario was never defined.
+        let (result, replies) = serve(
+            &[
+                hello.clone(),
+                (
+                    FRAME_GROUP,
+                    group_frame(&corpus, scenario_of(other), &[other], false),
+                ),
+            ],
+            None,
+        );
+        assert!(
+            matches!(result, Err(ServiceError::Multiproc { .. })),
+            "expected a multiproc error, got {result:?}"
+        );
+        assert!(replies.is_empty());
+
+        // A job, inside a defined group, that names an unsent scenario.
+        let stray = group_frame(&corpus, scenario_of(first), &[other], true);
+        let (result, replies) = serve(&[hello.clone(), (FRAME_GROUP, stray)], None);
+        assert!(
+            matches!(result, Err(ServiceError::Multiproc { .. })),
+            "expected a multiproc error, got {result:?}"
+        );
+        assert!(replies.is_empty());
+
+        // A second definition of a scenario: the first group is answered,
+        // the redefinition is refused.
+        let (result, replies) = serve(
+            &[
+                hello,
+                (FRAME_GROUP, group_frame(&corpus, 0, &[first], true)),
+                (FRAME_GROUP, group_frame(&corpus, 0, &[first + 1], true)),
+            ],
+            None,
+        );
+        assert!(
+            matches!(result, Err(ServiceError::Multiproc { .. })),
+            "expected a multiproc error, got {result:?}"
+        );
+        assert_eq!(replies.len(), 1);
+        assert_eq!(replies[0].kind, FRAME_RESULT);
     }
 
     #[test]
@@ -793,19 +1048,11 @@ mod tests {
     #[test]
     fn crash_plan_swallows_the_next_job() {
         let corpus = tiny_corpus();
-        let job = |index: usize| {
-            encode_value(
-                &obj()
-                    .field("index", index)
-                    .field("job", corpus.jobs()[index].to_wire())
-                    .build(),
-            )
-            .unwrap()
-        };
+        // Two groups of the one scenario: the first defines it.
         let frames = [
-            (FRAME_HELLO, hello_payload(&corpus)),
-            (FRAME_JOB, job(0)),
-            (FRAME_JOB, job(1)),
+            (FRAME_HELLO, hello_payload()),
+            (FRAME_GROUP, group_frame(&corpus, 0, &[0], true)),
+            (FRAME_GROUP, group_frame(&corpus, 0, &[1], false)),
             (FRAME_SHUTDOWN, Vec::new()),
         ];
         let (result, replies) = serve(
@@ -834,36 +1081,11 @@ mod tests {
         assert_eq!(replies[2].kind, FRAME_FIN);
     }
 
-    fn hello_traced(corpus: &Corpus, config: &ServiceConfig) -> Vec<u8> {
-        encode_value(
-            &obj()
-                .field("protocol", PROTOCOL_VERSION)
-                .field("worker", 0usize)
-                .field("config", config.to_wire())
-                .field("corpus", corpus.to_wire())
-                .field("trace", true)
-                .build(),
-        )
-        .unwrap()
-    }
-
-    fn job_frame(corpus: &Corpus, index: usize) -> Vec<u8> {
-        encode_value(
-            &obj()
-                .field("index", index)
-                .field("job", corpus.jobs()[index].to_wire())
-                .build(),
-        )
-        .unwrap()
-    }
-
-    /// Runs the given job indices through one loopback worker and returns
-    /// the decoded FIN event.
+    /// Runs the given job indices through one traced loopback worker and
+    /// returns the decoded FIN event.
     fn serve_traced(corpus: &Corpus, config: &ServiceConfig, indices: &[usize]) -> Event {
-        let mut frames = vec![(FRAME_HELLO, hello_traced(corpus, config))];
-        for &index in indices {
-            frames.push((FRAME_JOB, job_frame(corpus, index)));
-        }
+        let mut frames = vec![(FRAME_HELLO, encode_hello(0, config, true).unwrap())];
+        frames.extend(group_frames(corpus, indices));
         frames.push((FRAME_SHUTDOWN, Vec::new()));
         let (result, replies) = serve(&frames, None);
         result.unwrap();
@@ -872,16 +1094,15 @@ mod tests {
         decode_event(0, fin).expect("FIN decodes")
     }
 
-    /// A HELLO without the `trace` field (an older coordinator) must
-    /// produce a FIN that decodes with empty trace fields — the tolerant
-    /// path that keeps `PROTOCOL_VERSION` at 1.
+    /// A HELLO without the optional `trace` field must produce a FIN that
+    /// decodes with empty trace fields.
     #[test]
     fn untraced_fin_decodes_with_empty_trace_fields() {
         let corpus = tiny_corpus();
         let (result, replies) = serve(
             &[
-                (FRAME_HELLO, hello_payload(&corpus)),
-                (FRAME_JOB, job_frame(&corpus, 0)),
+                (FRAME_HELLO, hello_payload()),
+                (FRAME_GROUP, group_frame(&corpus, 0, &[0], true)),
                 (FRAME_SHUTDOWN, Vec::new()),
             ],
             None,
@@ -986,11 +1207,10 @@ mod tests {
         }
         .build()
         .unwrap();
-        // Prewarm off: each worker would prewarm the full corpus, which
-        // legitimately multiplies prewarm insertions by the process count.
-        // Split by scenario so each scenario's store lives wholly in one
-        // worker — cross-worker splits of one scenario lose the store hits
-        // the other worker's published sessions would have provided.
+        // Split by scenario, as the coordinator deals, so each scenario's
+        // store lives wholly in one worker — cross-worker splits of one
+        // scenario lose the store hits the other worker's published
+        // sessions would have provided.
         let config = ServiceConfig {
             workers: 1,
             batch_same_shape: false,
@@ -1101,5 +1321,152 @@ mod tests {
             coordinator.run(&corpus),
             Err(ServiceError::Multiproc { .. })
         ));
+    }
+
+    /// Every scenario's jobs land on one worker, in corpus order; the
+    /// costliest groups are spread first, so the loads stay within one
+    /// group's cost of each other.
+    #[test]
+    fn deal_keeps_scenario_groups_whole_and_balances_their_cost() {
+        let corpus = ScenarioSpec {
+            scenarios: 9,
+            seed: 11,
+            ..ScenarioSpec::default()
+        }
+        .build()
+        .unwrap();
+        let cost =
+            |group: &Group| corpus.scenarios()[group.scenario].sut.core_count() * group.jobs.len();
+        for processes in [1usize, 2, 4, 16] {
+            let shards = deal(&corpus, processes);
+            assert_eq!(shards.len(), processes.min(9));
+            let mut seen: Vec<usize> = Vec::new();
+            for shard in &shards {
+                assert!(shard.windows(2).all(|w| w[0].scenario < w[1].scenario));
+                for group in shard {
+                    assert!(group
+                        .jobs
+                        .iter()
+                        .all(|&index| corpus.jobs()[index].scenario == group.scenario));
+                    assert!(group.jobs.windows(2).all(|w| w[0] < w[1]));
+                    seen.extend(&group.jobs);
+                }
+            }
+            seen.sort_unstable();
+            assert_eq!(seen, (0..corpus.jobs().len()).collect::<Vec<_>>());
+            let loads: Vec<usize> = shards
+                .iter()
+                .map(|shard| shard.iter().map(cost).sum())
+                .collect();
+            let largest = shards.iter().flatten().map(cost).max().unwrap();
+            let (min, max) = (loads.iter().min().unwrap(), loads.iter().max().unwrap());
+            assert!(max - min <= largest, "loads {loads:?} at {processes}");
+        }
+        let empty = Corpus::from_parts(Vec::new(), Vec::new()).unwrap();
+        assert!(deal(&empty, 4).is_empty());
+    }
+
+    /// A RESULT frame for a job index the worker does not hold — out of
+    /// range, or another worker's — condemns that worker instead of
+    /// panicking the coordinator: it counts as a crash and its jobs,
+    /// with their scenario definitions, move to the survivor.
+    #[test]
+    fn a_result_for_a_job_the_worker_does_not_hold_condemns_the_worker() {
+        let corpus = ScenarioSpec {
+            scenarios: 2,
+            seed: 3,
+            ..ScenarioSpec::default()
+        }
+        .build()
+        .unwrap();
+        let config = ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        };
+        let expected = crate::ServiceRunner::new(config)
+            .unwrap()
+            .run(&corpus)
+            .unwrap();
+        let coordinator = MultiprocCoordinator::new(MultiprocConfig {
+            processes: 2,
+            program: "/nonexistent/thermsched-worker".into(),
+            args: Vec::new(),
+            service: config,
+        })
+        .unwrap();
+        let shards = deal(&corpus, 2);
+        let held: Vec<Vec<usize>> = shards
+            .iter()
+            .map(|shard| shard.iter().flat_map(|g| g.jobs.clone()).collect())
+            .collect();
+        let result_frame = |index: usize, job: usize| Frame {
+            kind: FRAME_RESULT,
+            payload: encode_value(
+                &obj()
+                    .field("index", index)
+                    .field("result", expected.jobs()[job].to_wire())
+                    .field("warm_cache_hits", 0usize)
+                    .field("cached_validations", 0usize)
+                    .field("injected_faults", 0usize)
+                    .field("retried_attempts", 0usize)
+                    .field("latency_seconds", 0.0)
+                    .build(),
+            )
+            .unwrap(),
+        };
+        let fin = || Event::Fin {
+            worker: 0,
+            fin: Fin {
+                setup: SetupStats::default(),
+                metrics: MetricsSnapshot::default(),
+                spans: Vec::new(),
+                dropped_spans: 0,
+            },
+        };
+
+        for bad_index in [corpus.jobs().len() + 7, held[0][0]] {
+            let (event_tx, event_rx) = mpsc::channel();
+            // Worker 1 claims a job it does not hold, then keeps talking.
+            for frame in [result_frame(bad_index, 0), result_frame(held[1][0], 0)] {
+                event_tx.send(decode_event(1, &frame).unwrap()).unwrap();
+            }
+            // Worker 0 answers every job: its own, then worker 1's.
+            for &index in held[0].iter().chain(&held[1]) {
+                let event = decode_event(0, &result_frame(index, index)).unwrap();
+                event_tx.send(event).unwrap();
+            }
+            event_tx.send(fin()).unwrap();
+
+            let (tx0, rx0) = mpsc::channel();
+            let (tx1, _rx1) = mpsc::channel();
+            let mut writers = vec![Some(tx0), Some(tx1)];
+            let report = coordinator
+                .coordinate(
+                    &corpus,
+                    shards.clone(),
+                    &mut writers,
+                    &event_rx,
+                    Instant::now(),
+                    &Tracer::disabled(),
+                    &MetricsRegistry::new(),
+                )
+                .unwrap();
+            assert_eq!(report.stats().worker_crashes, 1);
+            assert_eq!(report.jobs(), expected.jobs());
+
+            // Worker 0 got its own groups, then worker 1's with their
+            // definitions, then SHUTDOWN.
+            let mut sent = Vec::new();
+            while let Ok(msg) = rx0.try_recv() {
+                sent.push(match msg {
+                    WriterMsg::Group { group, define } => Some((group, define)),
+                    WriterMsg::Shutdown => None,
+                });
+            }
+            let reassigned: Vec<_> = shards[1].iter().map(|g| Some((g.clone(), true))).collect();
+            assert_eq!(sent.len(), shards[0].len() + reassigned.len() + 1);
+            assert_eq!(sent[shards[0].len()..sent.len() - 1], reassigned[..]);
+            assert!(sent.last().unwrap().is_none());
+        }
     }
 }

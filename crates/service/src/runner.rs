@@ -381,7 +381,11 @@ impl ServiceRunner {
         tracer: &Tracer,
         registry: &MetricsRegistry,
     ) -> Result<ServiceReport> {
-        let executor = Executor::build(self.config, Cow::Borrowed(corpus), tracer)?;
+        let executor = Executor::build(
+            self.config,
+            corpus.scenarios().iter().map(Cow::Borrowed),
+            tracer,
+        )?;
         let jobs = corpus.jobs();
         let next = AtomicUsize::new(0);
         let results: Mutex<Vec<Option<JobResult>>> = Mutex::new(vec![None; jobs.len()]);

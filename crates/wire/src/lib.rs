@@ -41,7 +41,7 @@ pub const FORMAT_NAME: &str = "thermsched-wire";
 pub const FORMAT_VERSION: u64 = 1;
 
 /// Deepest array/object nesting either decoder accepts. Every document the
-/// workspace writes nests about ten levels (a corpus inside a HELLO frame);
+/// workspace writes nests about ten levels (a scenario inside a GROUP frame);
 /// the bound keeps hostile input from overflowing the recursive decoders'
 /// stack, which no `catch_unwind` can recover from. Deeper input is a
 /// typed error: [`WireError::Parse`] from the text decoder,

@@ -9,8 +9,8 @@
 use std::path::PathBuf;
 
 use thermsched_service::{
-    Corpus, JobResult, MultiprocConfig, MultiprocCoordinator, ScenarioSpec, ServiceConfig,
-    ServiceReport, ServiceRunner,
+    BackendKind, Corpus, JobResult, MultiprocConfig, MultiprocCoordinator, ScenarioSpec,
+    ServiceConfig, ServiceReport, ServiceRunner,
 };
 use thermsched_wire::{JsonValue, Wire};
 
@@ -36,11 +36,20 @@ fn run_inprocess(corpus: &Corpus) -> ServiceReport {
 }
 
 fn run_multiproc(corpus: &Corpus, processes: usize, worker_args: &[&str]) -> ServiceReport {
+    run_multiproc_with(corpus, processes, worker_args, ServiceConfig::default())
+}
+
+fn run_multiproc_with(
+    corpus: &Corpus,
+    processes: usize,
+    worker_args: &[&str],
+    service: ServiceConfig,
+) -> ServiceReport {
     MultiprocCoordinator::new(MultiprocConfig {
         processes,
         program: worker_binary(),
         args: worker_args.iter().map(|s| (*s).to_owned()).collect(),
-        service: ServiceConfig::default(),
+        service,
     })
     .expect("valid config")
     .run(corpus)
@@ -87,11 +96,12 @@ fn a_worker_killed_mid_run_is_detected_and_its_jobs_reassigned() {
     let corpus = corpus();
     let baseline = run_inprocess(&corpus);
 
-    // Round-robin over 2 workers: worker 1 owns jobs {1, 3}. The crash
-    // plan arms only on worker 1 and fires after it has resolved one job,
-    // so it answers job 1 and silently dies when job 3 arrives. The
-    // coordinator must notice the dead pipe, count the crash, and finish
-    // job 3 on worker 0 — with results still byte-identical.
+    // Two scenarios over 2 workers: worker 1 is dealt one scenario's
+    // group of two jobs. The crash plan arms only on worker 1 and fires
+    // after it has resolved one job, so it answers the group's first job
+    // and silently dies on the second. The coordinator must notice the
+    // dead pipe, count the crash, and finish that job on worker 0 — with
+    // results still byte-identical.
     let report = run_multiproc(
         &corpus,
         2,
@@ -102,6 +112,78 @@ fn a_worker_killed_mid_run_is_detected_and_its_jobs_reassigned() {
     assert_eq!(report.stats().completed, baseline.stats().completed);
     assert_eq!(report.jobs(), baseline.jobs());
     assert_eq!(jobs_bytes(report.jobs()), jobs_bytes(baseline.jobs()));
+}
+
+#[test]
+fn a_dead_workers_unstarted_groups_move_with_their_scenarios() {
+    // Six scenarios over 2 workers: each worker is dealt several whole
+    // scenario groups, and no scenario is sent to both. Worker 1 dies
+    // after its first job, still holding the rest of that group and every
+    // later group — scenarios worker 0 never received. The survivor must
+    // get their definitions along with the jobs, and the results must not
+    // change.
+    let corpus = ScenarioSpec {
+        scenarios: 6,
+        seed: 97,
+        ..ScenarioSpec::default()
+    }
+    .build()
+    .expect("test corpus builds");
+    let baseline = run_inprocess(&corpus);
+
+    let report = run_multiproc(
+        &corpus,
+        2,
+        &["worker", "--exit-after", "1", "--exit-worker", "1"],
+    );
+
+    assert_eq!(report.stats().worker_crashes, 1);
+    assert_eq!(report.stats().completed, corpus.jobs().len());
+    assert_eq!(report.jobs(), baseline.jobs());
+    assert_eq!(jobs_bytes(report.jobs()), jobs_bytes(baseline.jobs()));
+}
+
+#[test]
+fn sharded_store_counters_equal_a_one_worker_in_process_run() {
+    // The grid backend batches same-shape sessions, so prewarm really
+    // publishes sessions; every scenario's jobs then run in corpus order
+    // on one worker, exactly as on a single in-process worker.
+    let corpus = ScenarioSpec {
+        scenarios: 3,
+        seed: 97,
+        ..ScenarioSpec::default()
+    }
+    .build()
+    .expect("test corpus builds");
+    let service = ServiceConfig {
+        workers: 1,
+        backend: BackendKind::GridTransient { cells_per_core: 2 },
+        batch_same_shape: true,
+        ..ServiceConfig::default()
+    };
+    let baseline = ServiceRunner::new(service)
+        .expect("valid config")
+        .run(&corpus)
+        .expect("in-process run succeeds");
+    let expected = baseline.stats();
+    assert!(expected.prewarmed_sessions > 0);
+    assert!(expected.store.hits > 0);
+
+    for processes in [1usize, 2, 4] {
+        let report = run_multiproc_with(&corpus, processes, &["worker"], service);
+        let stats = report.stats();
+        assert_eq!(stats.store.lookups, expected.store.lookups, "{processes}");
+        assert_eq!(stats.store.hits, expected.store.hits, "{processes}");
+        assert_eq!(
+            stats.store.insertions, expected.store.insertions,
+            "{processes}"
+        );
+        assert_eq!(
+            stats.prewarmed_sessions, expected.prewarmed_sessions,
+            "{processes}"
+        );
+        assert_eq!(report.jobs(), baseline.jobs());
+    }
 }
 
 #[test]
