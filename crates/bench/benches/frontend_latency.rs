@@ -21,7 +21,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use thermsched_bench::baseline_recording_enabled;
 use thermsched_service::{
     Corpus, DrainReport, FaultPlan, Frontend, FrontendConfig, Priority, RetryPolicy, ScenarioSpec,
-    ServiceConfig, StoreKind, Submission,
+    ServiceConfig, Submission,
 };
 
 /// Submissions per streamed burst.
@@ -46,7 +46,7 @@ fn config(queue_capacity: usize) -> FrontendConfig {
     FrontendConfig {
         service: ServiceConfig {
             workers: WORKERS,
-            store: StoreKind::Sharded { shards: 8 },
+            store_shards: 8,
             faults: FaultPlan {
                 seed: 7,
                 error_rate: 0.3,

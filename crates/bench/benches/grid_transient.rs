@@ -17,9 +17,7 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use thermsched_bench::{baseline_recording_enabled, median};
-use thermsched_service::{
-    BackendKind, Corpus, ScenarioSpec, ServiceConfig, ServiceRunner, StoreKind,
-};
+use thermsched_service::{BackendKind, Corpus, ScenarioSpec, ServiceConfig, ServiceRunner};
 use thermsched_soc::library;
 use thermsched_thermal::{
     GridResolution, GridThermalSimulator, PackageConfig, PowerMap, ThermalSimulator,
@@ -42,7 +40,7 @@ fn corpus() -> Corpus {
 fn config(operator_cache: bool) -> ServiceConfig {
     ServiceConfig {
         workers: 4,
-        store: StoreKind::Sharded { shards: 8 },
+        store_shards: 8,
         backend: BackendKind::GridTransient { cells_per_core: 4 },
         operator_cache,
         batch_same_shape: true,

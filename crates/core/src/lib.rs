@@ -59,44 +59,20 @@
 //! # }
 //! ```
 //!
-//! # Migrating from the pre-`Engine` API
+//! # Grid backend defaults
 //!
-//! The pre-`Engine` entry points were `#[deprecated]` for one release and
-//! have now been **removed** (along with `TransientMethod::PrecomputedOperator`,
-//! which was folded into the default `Auto`). Code still written against
-//! them maps as follows:
-//!
-//! | removed call | replacement |
-//! |---|---|
-//! | `RcThermalSimulator::fast_from_floorplan(fp)` | `RcThermalSimulator::from_floorplan(fp)` (fast is the default; `reference_from_floorplan` opts into implicit Euler) |
-//! | `TransientConfig::fast()` / `TransientMethod::PrecomputedOperator` | `TransientConfig::default()` / `TransientMethod::Auto` (identical behaviour) |
-//! | `ThermalAwareScheduler::new(&sut, &sim, cfg)?.schedule()` | `Engine::builder().sut(&sut).backend(&sim).config(cfg).build()?.schedule()` (the scheduler itself remains public) |
-//! | `experiments::table1_sweep(&sut, &sim, tls, stcls)` | `engine.sweep(&SweepSpec::grid(tls, stcls))` |
-//! | `experiments::figure5_sweep(&sut, &sim)` | `engine.sweep(&SweepSpec::figure5())` |
-//! | `experiments::table1_default()` | `engine.sweep(&SweepSpec::table1())` |
-//! | `experiments::weight_factor_sweep(...)` | `engine.sweep(&SweepSpec::weight_ablation(tl, stcl, factors))` |
-//! | `experiments::ordering_sweep(...)` | `engine.sweep(&SweepSpec::ordering_ablation(tl, stcl))` |
-//! | `experiments::model_options_sweep(...)` | `engine.sweep(&SweepSpec::model_ablation(tl, stcl))` |
-//! | `experiments::baseline_comparison(...)` | `engine.sweep(&SweepSpec::point(tl, stcl).with_baseline())` |
-//! | `ScheduleValidator::new(&sut, &sim)?.evaluate(&schedule)` | `engine.evaluate(&schedule)` (the validator remains public) |
-//!
-//! Code that passed a `GridThermalSimulator` to any of these entry points
-//! should also note that since PR 5 the grid backend defaults to its
-//! **full-fidelity transient path** (`fidelity() == Transient`,
-//! `backend_name() == "grid-transient"`); the previous steady-state
-//! upper-bound behaviour is one call away via
+//! A `GridThermalSimulator` defaults to its **full-fidelity transient path**
+//! (`fidelity() == Transient`, `backend_name() == "grid-transient"`); the
+//! steady-state upper-bound behaviour is one call away via
 //! `.with_fidelity(SimulationFidelity::SteadyState)`.
 //!
-//! PR 6 adds `TransientMethod::Adi` (Peaceman–Rachford alternating
-//! directions, `O(n)` per step, for 96×96+ cell grids) next to the existing
-//! `Auto` and `ImplicitEuler` variants. This is purely additive: `Auto`
-//! remains the default and no existing configuration changes meaning. Two
-//! consequences for exhaustive matches and capability checks:
+//! `TransientMethod::Adi` (Peaceman–Rachford alternating directions, `O(n)`
+//! per step, for 96×96+ cell grids) sits next to the default `Auto` and
+//! `ImplicitEuler`. Two consequences for exhaustive matches and capability
+//! checks:
 //!
-//! * code matching on `TransientMethod` exhaustively gains an arm
-//!   (`TransientMethod::Adi`, selected via
-//!   `TransientConfig::with_method`); the grid backend then reports
-//!   `backend_name() == "grid-transient-adi"`;
+//! * selecting it via `TransientConfig::with_method` makes the grid backend
+//!   report `backend_name() == "grid-transient-adi"`;
 //! * `uses_fast_path()` (and therefore `supports_fast_path()`) is `false`
 //!   for ADI — its iterates are not provably monotone, so session maxima
 //!   are tracked per step rather than read off the final state.
@@ -105,19 +81,16 @@
 //!
 //! For many scheduling runs over many systems, the `thermsched_service`
 //! crate layers a batch service on top of the engine: a seeded scenario
-//! corpus generator, a worker pool with per-worker engine reuse, and shared
-//! session stores ([`SessionStore`]) — either the single-lock
-//! [`MutexSessionStore`] or the N-way [`ShardedSessionCache`], selected
-//! through [`SessionCacheHandle::sharded`].
+//! corpus generator, a worker pool with per-worker engine reuse, and one
+//! shared session store per scenario — a [`SessionCacheHandle`] whose shard
+//! count the service configures ([`SessionCacheHandle::sharded`]; an
+//! engine's own store has one shard).
 //!
 //! Beyond one process, the `thermsched_wire` crate defines the wire format
 //! every public type here serialises to (`SchedulerConfig`, `TestSchedule`,
 //! `CacheStats`, … all implement its `Wire` trait), and the service crate's
 //! `MultiprocCoordinator` shards a corpus across real worker processes over
 //! that format — with per-job results byte-identical at any process count.
-//! The formerly dormant `serde` feature gates were removed in favour of
-//! these hand-rolled `wire` modules; migrating code should serialise via
-//! `thermsched_wire::to_document` / `from_document` instead of serde derive.
 //!
 //! # Observability
 //!
@@ -209,9 +182,7 @@ pub use schedule::{TestSchedule, TestSession};
 pub use scheduler::{ScheduleOutcome, SessionRecord, ThermalAwareScheduler};
 pub use session_cache::SessionCache;
 pub use session_model::{SessionModelOptions, SessionThermalModel, DEFAULT_STC_SCALE};
-pub use session_store::{
-    MutexSessionStore, SessionCacheHandle, SessionStore, ShardedSessionCache, StoreStats,
-};
+pub use session_store::{SessionCacheHandle, StoreStats};
 pub use sweep::{SweepReport, SweepRunner, SweepSpec, SweepVariant};
 pub use validator::{ScheduleEvaluation, ScheduleValidator, SessionEvaluation};
 pub use weights::CoreWeights;

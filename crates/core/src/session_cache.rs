@@ -1,6 +1,5 @@
 //! Caching of session thermal-validation results (the per-run map; the
-//! shared, thread-safe stores live behind [`crate::SessionStore`] and
-//! [`crate::SessionCacheHandle`]).
+//! shared, thread-safe store is [`crate::SessionCacheHandle`]).
 
 use std::collections::HashMap;
 

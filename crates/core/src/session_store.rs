@@ -1,19 +1,12 @@
-//! Shared session-result stores: the [`SessionStore`] trait and its two
-//! implementations, plus the [`SessionCacheHandle`] the rest of the stack
-//! holds.
+//! The shared session-result store, [`SessionCacheHandle`].
 //!
 //! A [`crate::SessionCache`] is a plain per-run map. Sharing validated
 //! session results *across* runs — sweep points on one engine, or the many
 //! concurrent jobs of a `thermsched_service` batch — needs a thread-safe
-//! store. The original implementation was a single `Mutex<HashMap>`;
-//! [`MutexSessionStore`] keeps exactly that behaviour, while
-//! [`ShardedSessionCache`] splits the key space over N independently-locked
-//! shards so wide fan-outs do not serialise on one lock. Both implement
-//! [`SessionStore`], and [`SessionCacheHandle`] erases the choice behind an
-//! `Arc<dyn SessionStore>` so the engine, scheduler and service layers are
-//! store-agnostic.
+//! store. [`SessionCacheHandle`] splits the key space over N
+//! independently-locked shards so wide fan-outs do not serialise on one
+//! lock; with one shard (the default) it is a single `Mutex` around one map.
 
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 
@@ -21,11 +14,11 @@ use thermsched_thermal::SessionThermalResult;
 
 use crate::SessionCache;
 
-/// Point-in-time usage counters of a [`SessionStore`].
+/// Point-in-time usage counters of a [`SessionCacheHandle`].
 ///
 /// All counters are monotone over the store's lifetime (a
-/// [`SessionStore::clear`] resets the *entries*, not the counters) and are
-/// maintained with relaxed atomics: totals are exact, but a reader racing
+/// [`SessionCacheHandle::clear`] resets the *entries*, not the counters) and
+/// are maintained with relaxed atomics: totals are exact, but a reader racing
 /// concurrent writers may observe counters from slightly different instants.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
@@ -35,9 +28,9 @@ pub struct StoreStats {
     pub hits: u64,
     /// Results actually inserted (first-write-wins duplicates excluded).
     pub insertions: u64,
-    /// Lock acquisitions that found the target lock already held. For the
-    /// sharded store this counts per-shard contention; a well-sharded
-    /// workload keeps it near zero even under heavy concurrency.
+    /// Lock acquisitions that found the target shard lock already held. A
+    /// well-sharded workload keeps it near zero even under heavy
+    /// concurrency.
     pub contended_locks: u64,
 }
 
@@ -53,89 +46,7 @@ impl StoreStats {
     }
 }
 
-/// A thread-safe, shareable store of session thermal-validation results
-/// keyed by sorted core sets (see [`SessionCache::key`]).
-///
-/// Semantics every implementation must provide:
-///
-/// * **Determinism of content** — the simulators are deterministic, so the
-///   result stored under a key is a pure function of the key (for a fixed
-///   system and backend). First write wins; a racing duplicate insert is
-///   dropped, and either race outcome stores the same bytes.
-/// * **Batch operations** — [`SessionStore::lookup_batch`] and
-///   [`SessionStore::store_batch`] exist so callers with many keys (the
-///   scheduler's phase-1 probe and its end-of-run publication) pay one lock
-///   round trip per store — or per shard — instead of one per key.
-/// * **Panic tolerance** — a worker that panics while holding a store lock
-///   must not take the store down with it; implementations recover from
-///   mutex poisoning (entries are only ever whole, valid results).
-pub trait SessionStore: Send + Sync + fmt::Debug {
-    /// Short human-readable name (`"mutex"`, `"sharded(8)"`, ...).
-    fn name(&self) -> String;
-
-    /// Number of independently-locked shards (1 for unsharded stores).
-    fn shard_count(&self) -> usize;
-
-    /// Number of cached results.
-    fn len(&self) -> usize;
-
-    /// Returns `true` if the store holds no results.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Returns a clone of the cached result for a key, if present.
-    fn lookup(&self, key: &[usize]) -> Option<SessionThermalResult>;
-
-    /// Looks up many keys, returning one slot per key in order. Counts one
-    /// lookup (and at most one hit) per key.
-    fn lookup_batch(&self, keys: &[Vec<usize>]) -> Vec<Option<SessionThermalResult>> {
-        keys.iter().map(|key| self.lookup(key)).collect()
-    }
-
-    /// Stores a result unless the key is already present (first write wins).
-    fn store(&self, key: Vec<usize>, result: SessionThermalResult);
-
-    /// Stores many results, batching lock acquisitions where the
-    /// implementation can. First write wins per key.
-    fn store_batch(&self, entries: Vec<(Vec<usize>, SessionThermalResult)>) {
-        for (key, result) in entries {
-            self.store(key, result);
-        }
-    }
-
-    /// Drops every cached result (usage counters are preserved).
-    fn clear(&self);
-
-    /// Usage counters accumulated so far.
-    fn stats(&self) -> StoreStats;
-
-    /// Fault-injection hook: deliberately poisons the lock guarding shard
-    /// `shard % shard_count` by panicking a throwaway thread while it holds
-    /// the lock. Entries are untouched — the store must keep serving them
-    /// through the recovered lock (the panic-tolerance contract above), and
-    /// this hook exists precisely so harnesses can prove that recovery
-    /// without reaching into store internals. Implementations without
-    /// interior locks may ignore the call (the default is a no-op).
-    fn poison_shard(&self, shard: usize) {
-        let _ = shard;
-    }
-}
-
-/// Poisons a mutex by panicking a scoped throwaway thread while it holds the
-/// lock. Used by the stores' [`SessionStore::poison_shard`] fault hooks.
-fn poison_lock(mutex: &Mutex<SessionCache>) {
-    std::thread::scope(|scope| {
-        let _ = scope
-            .spawn(|| {
-                let _guard = mutex.lock().unwrap_or_else(PoisonError::into_inner);
-                panic!("injected store poison");
-            })
-            .join();
-    });
-}
-
-/// Shared atomic counter block used by both store implementations.
+/// The store's atomic counter block.
 #[derive(Debug, Default)]
 struct Counters {
     lookups: AtomicU64,
@@ -155,148 +66,14 @@ impl Counters {
     }
 }
 
-/// Locks a mutex, counting contention and recovering from poisoning: a
-/// panicked previous holder can only have left whole, valid entries behind
-/// (every mutation is a single map operation), so the store stays usable for
-/// the surviving workers — the panic isolation the service layer relies on.
-fn lock_counting<'m, T>(mutex: &'m Mutex<T>, counters: &Counters) -> MutexGuard<'m, T> {
-    match mutex.try_lock() {
-        Ok(guard) => guard,
-        Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
-        Err(TryLockError::WouldBlock) => {
-            counters.contended_locks.fetch_add(1, Ordering::Relaxed);
-            mutex.lock().unwrap_or_else(PoisonError::into_inner)
-        }
-    }
-}
-
-/// The original single-lock shared store: one `Mutex` around one
-/// [`SessionCache`]. Simple, and still the right choice for narrow
-/// (sequential or low-concurrency) workloads; the service benchmarks compare
-/// it against [`ShardedSessionCache`].
-#[derive(Debug, Default)]
-pub struct MutexSessionStore {
-    entries: Mutex<SessionCache>,
-    counters: Counters,
-}
-
-impl MutexSessionStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl SessionStore for MutexSessionStore {
-    fn name(&self) -> String {
-        "mutex".to_owned()
-    }
-
-    fn shard_count(&self) -> usize {
-        1
-    }
-
-    fn len(&self) -> usize {
-        lock_counting(&self.entries, &self.counters).len()
-    }
-
-    fn lookup(&self, key: &[usize]) -> Option<SessionThermalResult> {
-        self.counters.lookups.fetch_add(1, Ordering::Relaxed);
-        let found = lock_counting(&self.entries, &self.counters)
-            .get(key)
-            .cloned();
-        if found.is_some() {
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        found
-    }
-
-    fn lookup_batch(&self, keys: &[Vec<usize>]) -> Vec<Option<SessionThermalResult>> {
-        self.counters
-            .lookups
-            .fetch_add(keys.len() as u64, Ordering::Relaxed);
-        let cache = lock_counting(&self.entries, &self.counters);
-        let found: Vec<Option<SessionThermalResult>> =
-            keys.iter().map(|key| cache.get(key).cloned()).collect();
-        drop(cache);
-        let hits = found.iter().filter(|slot| slot.is_some()).count() as u64;
-        self.counters.hits.fetch_add(hits, Ordering::Relaxed);
-        found
-    }
-
-    fn store(&self, key: Vec<usize>, result: SessionThermalResult) {
-        let mut cache = lock_counting(&self.entries, &self.counters);
-        if !cache.contains(&key) {
-            cache.insert(key, result);
-            self.counters.insertions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn store_batch(&self, entries: Vec<(Vec<usize>, SessionThermalResult)>) {
-        let mut inserted = 0u64;
-        let mut cache = lock_counting(&self.entries, &self.counters);
-        for (key, result) in entries {
-            if !cache.contains(&key) {
-                cache.insert(key, result);
-                inserted += 1;
-            }
-        }
-        drop(cache);
-        self.counters
-            .insertions
-            .fetch_add(inserted, Ordering::Relaxed);
-    }
-
-    fn clear(&self) {
-        *lock_counting(&self.entries, &self.counters) = SessionCache::new();
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.counters.snapshot()
-    }
-
-    fn poison_shard(&self, _shard: usize) {
-        poison_lock(&self.entries);
-    }
-}
-
-/// An N-way sharded shared store: the key space is split by a deterministic
-/// hash over the core set, and each shard has its own lock, so concurrent
-/// workers touching different core sets do not serialise on one another.
-///
-/// Batch operations group their keys by shard and take each shard lock once,
-/// which keeps the scheduler's phase-1 probe and end-of-run publication at
-/// `O(shards)` lock round trips regardless of how many keys move.
-///
-/// # Example
-///
-/// ```
-/// use thermsched::{SessionStore, ShardedSessionCache};
-///
-/// let store = ShardedSessionCache::new(8);
-/// assert_eq!(store.shard_count(), 8);
-/// assert_eq!(store.name(), "sharded(8)");
-/// assert!(store.is_empty());
-/// ```
+/// The state every clone of one [`SessionCacheHandle`] shares.
 #[derive(Debug)]
-pub struct ShardedSessionCache {
+struct Shards {
     shards: Vec<Mutex<SessionCache>>,
     counters: Counters,
 }
 
-impl ShardedSessionCache {
-    /// Creates an empty store with `shards` independently-locked shards (a
-    /// requested count of zero is promoted to one).
-    pub fn new(shards: usize) -> Self {
-        let shards = shards.max(1);
-        ShardedSessionCache {
-            shards: (0..shards)
-                .map(|_| Mutex::new(SessionCache::new()))
-                .collect(),
-            counters: Counters::default(),
-        }
-    }
-
+impl Shards {
     /// Deterministic shard index for a key: FNV-1a over the core ids. The
     /// hash must not vary between processes or runs (unlike
     /// `std::collections::hash_map::RandomState`), because shard assignment
@@ -314,112 +91,30 @@ impl ShardedSessionCache {
         hash ^= hash >> 32;
         (hash % self.shards.len() as u64) as usize
     }
-}
 
-impl SessionStore for ShardedSessionCache {
-    fn name(&self) -> String {
-        format!("sharded({})", self.shards.len())
-    }
-
-    fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| lock_counting(shard, &self.counters).len())
-            .sum()
-    }
-
-    fn lookup(&self, key: &[usize]) -> Option<SessionThermalResult> {
-        self.counters.lookups.fetch_add(1, Ordering::Relaxed);
-        let shard = &self.shards[self.shard_for(key)];
-        let found = lock_counting(shard, &self.counters).get(key).cloned();
-        if found.is_some() {
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        found
-    }
-
-    fn lookup_batch(&self, keys: &[Vec<usize>]) -> Vec<Option<SessionThermalResult>> {
-        self.counters
-            .lookups
-            .fetch_add(keys.len() as u64, Ordering::Relaxed);
-        // One pass computes each key's shard; the per-shard passes then take
-        // each populated shard lock exactly once. (No per-shard index lists:
-        // keeping batch operations allocation-lean matters — they run three
-        // times per scheduling job.)
-        let shard_of: Vec<usize> = keys.iter().map(|key| self.shard_for(key)).collect();
-        let mut found: Vec<Option<SessionThermalResult>> = vec![None; keys.len()];
-        let mut hits = 0u64;
-        for (s, shard) in self.shards.iter().enumerate() {
-            if !shard_of.contains(&s) {
-                continue;
-            }
-            let cache = lock_counting(shard, &self.counters);
-            for (i, key) in keys.iter().enumerate() {
-                if shard_of[i] == s {
-                    found[i] = cache.get(key).cloned();
-                    hits += u64::from(found[i].is_some());
-                }
+    /// Locks one shard, counting contention and recovering from poisoning:
+    /// a panicked previous holder can only have left whole, valid entries
+    /// behind (every mutation is a single map operation), so the store stays
+    /// usable for the surviving workers — the panic isolation the service
+    /// layer relies on.
+    fn lock(&self, shard: usize) -> MutexGuard<'_, SessionCache> {
+        let mutex = &self.shards[shard];
+        match mutex.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => {
+                self.counters
+                    .contended_locks
+                    .fetch_add(1, Ordering::Relaxed);
+                mutex.lock().unwrap_or_else(PoisonError::into_inner)
             }
         }
-        self.counters.hits.fetch_add(hits, Ordering::Relaxed);
-        found
-    }
-
-    fn store(&self, key: Vec<usize>, result: SessionThermalResult) {
-        let shard = &self.shards[self.shard_for(&key)];
-        let mut cache = lock_counting(shard, &self.counters);
-        if !cache.contains(&key) {
-            cache.insert(key, result);
-            self.counters.insertions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn store_batch(&self, entries: Vec<(Vec<usize>, SessionThermalResult)>) {
-        // One pass computes each entry's shard; the per-shard passes then
-        // take each populated shard lock exactly once and move the matching
-        // entries out of their slots.
-        let shard_of: Vec<usize> = entries.iter().map(|(key, _)| self.shard_for(key)).collect();
-        let mut entries: Vec<Option<(Vec<usize>, SessionThermalResult)>> =
-            entries.into_iter().map(Some).collect();
-        let mut inserted = 0u64;
-        for (s, shard) in self.shards.iter().enumerate() {
-            if !shard_of.contains(&s) {
-                continue;
-            }
-            let mut cache = lock_counting(shard, &self.counters);
-            for (slot, _) in entries.iter_mut().zip(&shard_of).filter(|(_, &ks)| ks == s) {
-                let (key, result) = slot.take().expect("each entry moves out once");
-                if !cache.contains(&key) {
-                    cache.insert(key, result);
-                    inserted += 1;
-                }
-            }
-        }
-        self.counters
-            .insertions
-            .fetch_add(inserted, Ordering::Relaxed);
-    }
-
-    fn clear(&self) {
-        for shard in &self.shards {
-            *lock_counting(shard, &self.counters) = SessionCache::new();
-        }
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.counters.snapshot()
-    }
-
-    fn poison_shard(&self, shard: usize) {
-        poison_lock(&self.shards[shard % self.shards.len()]);
     }
 }
 
-/// A cloneable, thread-safe handle to a shared [`SessionStore`].
+/// A cloneable, thread-safe handle to a shared store of session
+/// thermal-validation results keyed by sorted core sets (see
+/// [`SessionCache::key`]).
 ///
 /// A plain [`SessionCache`] lives for one `schedule()` call; the handle is
 /// the long-lived variant the [`crate::Engine`] owns, so that every run
@@ -428,9 +123,23 @@ impl SessionStore for ShardedSessionCache {
 /// which is how the engine threads the cache through parallel sweeps and how
 /// the service layer shares one store between its workers.
 ///
-/// The backing store defaults to a [`MutexSessionStore`];
-/// [`SessionCacheHandle::sharded`] selects a [`ShardedSessionCache`] and
-/// [`SessionCacheHandle::with_store`] accepts any custom implementation.
+/// The key space is split by a deterministic hash over the core set into
+/// independently-locked shards, so concurrent workers touching different
+/// core sets do not serialise on one another. [`SessionCacheHandle::new`]
+/// builds one shard (a single lock, right for sequential or low-concurrency
+/// use); [`SessionCacheHandle::sharded`] picks the count.
+///
+/// * **Determinism of content** — the simulators are deterministic, so the
+///   result stored under a key is a pure function of the key (for a fixed
+///   system and backend). First write wins; a racing duplicate insert is
+///   dropped, and either race outcome stores the same bytes.
+/// * **Batch operations** — [`SessionCacheHandle::lookup_batch`] and
+///   [`SessionCacheHandle::store_batch`] group their keys by shard and take
+///   each shard lock once, so the scheduler's phase-1 probe and end-of-run
+///   publication pay `O(shards)` lock round trips however many keys move.
+/// * **Panic tolerance** — a worker that panics while holding a shard lock
+///   does not take the store down with it: the lock recovers from
+///   poisoning, since entries are only ever whole, valid results.
 ///
 /// # Example
 ///
@@ -441,10 +150,13 @@ impl SessionStore for ShardedSessionCache {
 /// let alias = cache.clone();
 /// assert!(alias.is_empty());
 /// assert_eq!(alias.shard_count(), 4);
+/// assert_eq!(SessionCacheHandle::new().shard_count(), 1);
+/// // A requested count of zero is promoted to one shard.
+/// assert_eq!(SessionCacheHandle::sharded(0).shard_count(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SessionCacheHandle {
-    inner: Arc<dyn SessionStore>,
+    inner: Arc<Shards>,
 }
 
 impl Default for SessionCacheHandle {
@@ -454,91 +166,165 @@ impl Default for SessionCacheHandle {
 }
 
 impl SessionCacheHandle {
-    /// Creates a handle to a fresh, empty single-lock store.
+    /// Creates a handle to a fresh, empty single-shard store.
     pub fn new() -> Self {
-        Self::with_store(Arc::new(MutexSessionStore::new()))
+        Self::sharded(1)
     }
 
-    /// Creates a handle to a fresh, empty [`ShardedSessionCache`] with the
-    /// given shard count.
+    /// Creates a handle to a fresh, empty store with `shards`
+    /// independently-locked shards (a requested count of zero is promoted to
+    /// one).
     pub fn sharded(shards: usize) -> Self {
-        Self::with_store(Arc::new(ShardedSessionCache::new(shards)))
+        SessionCacheHandle {
+            inner: Arc::new(Shards {
+                shards: (0..shards.max(1))
+                    .map(|_| Mutex::new(SessionCache::new()))
+                    .collect(),
+                counters: Counters::default(),
+            }),
+        }
     }
 
-    /// Wraps an existing store (share the `Arc` to alias it elsewhere).
-    pub fn with_store(store: Arc<dyn SessionStore>) -> Self {
-        SessionCacheHandle { inner: store }
-    }
-
-    /// Borrows the backing store.
-    pub fn backing_store(&self) -> &dyn SessionStore {
-        self.inner.as_ref()
-    }
-
-    /// Short name of the backing store (`"mutex"`, `"sharded(8)"`, ...).
-    pub fn store_name(&self) -> String {
-        self.inner.name()
-    }
-
-    /// Number of independently-locked shards of the backing store.
+    /// Number of independently-locked shards.
     pub fn shard_count(&self) -> usize {
-        self.inner.shard_count()
+        self.inner.shards.len()
     }
 
     /// Number of cached results.
     pub fn len(&self) -> usize {
-        self.inner.len()
+        (0..self.shard_count())
+            .map(|s| self.inner.lock(s).len())
+            .sum()
     }
 
     /// Returns `true` if the store holds no results.
     pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
+        self.len() == 0
     }
 
     /// Returns a clone of the cached result for a key, if present. Cloning
     /// keeps the lock hold time short and leaves the shared entry available
     /// to other runs.
     pub fn lookup(&self, key: &[usize]) -> Option<SessionThermalResult> {
-        self.inner.lookup(key)
+        let inner = &*self.inner;
+        inner.counters.lookups.fetch_add(1, Ordering::Relaxed);
+        let found = inner.lock(inner.shard_for(key)).get(key).cloned();
+        if found.is_some() {
+            inner.counters.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        found
     }
 
-    /// Looks up many keys with batched lock acquisitions, returning one slot
-    /// per key in order.
+    /// Looks up many keys, taking each populated shard lock once, and
+    /// returns one slot per key in order. Counts one lookup (and at most one
+    /// hit) per key.
     pub fn lookup_batch(&self, keys: &[Vec<usize>]) -> Vec<Option<SessionThermalResult>> {
-        self.inner.lookup_batch(keys)
+        let inner = &*self.inner;
+        inner
+            .counters
+            .lookups
+            .fetch_add(keys.len() as u64, Ordering::Relaxed);
+        // One pass computes each key's shard; the per-shard passes then take
+        // each populated shard lock exactly once. (No per-shard index lists:
+        // keeping batch operations allocation-lean matters — they run three
+        // times per scheduling job.)
+        let shard_of: Vec<usize> = keys.iter().map(|key| inner.shard_for(key)).collect();
+        let mut found: Vec<Option<SessionThermalResult>> = vec![None; keys.len()];
+        let mut hits = 0u64;
+        for s in 0..inner.shards.len() {
+            if !shard_of.contains(&s) {
+                continue;
+            }
+            let cache = inner.lock(s);
+            for (i, key) in keys.iter().enumerate() {
+                if shard_of[i] == s {
+                    found[i] = cache.get(key).cloned();
+                    hits += u64::from(found[i].is_some());
+                }
+            }
+        }
+        inner.counters.hits.fetch_add(hits, Ordering::Relaxed);
+        found
     }
 
     /// Stores a result unless the key is already cached (the simulators are
     /// deterministic, so a racing duplicate is identical and the first write
     /// wins).
     pub fn store(&self, key: Vec<usize>, result: SessionThermalResult) {
-        self.inner.store(key, result);
-    }
-
-    /// Stores many results with batched lock acquisitions — the scheduler
-    /// publishes a whole run's fresh simulations through this at end-of-run
-    /// instead of paying a lock round trip per candidate.
-    pub fn store_batch(&self, entries: Vec<(Vec<usize>, SessionThermalResult)>) {
-        if !entries.is_empty() {
-            self.inner.store_batch(entries);
+        let inner = &*self.inner;
+        let mut cache = inner.lock(inner.shard_for(&key));
+        if !cache.contains(&key) {
+            cache.insert(key, result);
+            inner.counters.insertions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Drops every cached result.
+    /// Stores many results, taking each populated shard lock once — the
+    /// scheduler publishes a whole run's fresh simulations through this at
+    /// end-of-run instead of paying a lock round trip per candidate. First
+    /// write wins per key.
+    pub fn store_batch(&self, entries: Vec<(Vec<usize>, SessionThermalResult)>) {
+        if entries.is_empty() {
+            return;
+        }
+        let inner = &*self.inner;
+        // One pass computes each entry's shard; the per-shard passes then
+        // take each populated shard lock exactly once and move the matching
+        // entries out of their slots.
+        let shard_of: Vec<usize> = entries
+            .iter()
+            .map(|(key, _)| inner.shard_for(key))
+            .collect();
+        let mut entries: Vec<Option<(Vec<usize>, SessionThermalResult)>> =
+            entries.into_iter().map(Some).collect();
+        let mut inserted = 0u64;
+        for s in 0..inner.shards.len() {
+            if !shard_of.contains(&s) {
+                continue;
+            }
+            let mut cache = inner.lock(s);
+            for (slot, _) in entries.iter_mut().zip(&shard_of).filter(|(_, &ks)| ks == s) {
+                let (key, result) = slot.take().expect("each entry moves out once");
+                if !cache.contains(&key) {
+                    cache.insert(key, result);
+                    inserted += 1;
+                }
+            }
+        }
+        inner
+            .counters
+            .insertions
+            .fetch_add(inserted, Ordering::Relaxed);
+    }
+
+    /// Drops every cached result (usage counters are preserved).
     pub fn clear(&self) {
-        self.inner.clear();
+        for s in 0..self.shard_count() {
+            *self.inner.lock(s) = SessionCache::new();
+        }
     }
 
-    /// Usage counters of the backing store.
+    /// Usage counters accumulated so far.
     pub fn stats(&self) -> StoreStats {
-        self.inner.stats()
+        self.inner.counters.snapshot()
     }
 
-    /// Fault-injection hook: poisons one shard lock of the backing store
-    /// (see [`SessionStore::poison_shard`]). Harnesses use this to prove
-    /// that scheduling keeps working through a poisoned store.
+    /// Fault-injection hook: deliberately poisons the lock guarding shard
+    /// `shard % shard_count` by panicking a throwaway thread while it holds
+    /// the lock. Entries are untouched — the store must keep serving them
+    /// through the recovered lock (the panic-tolerance contract above), and
+    /// this hook exists precisely so harnesses can prove that recovery
+    /// without reaching into store internals.
     pub fn poison_shard(&self, shard: usize) {
-        self.inner.poison_shard(shard);
+        let mutex = &self.inner.shards[shard % self.shard_count()];
+        std::thread::scope(|scope| {
+            let _ = scope
+                .spawn(|| {
+                    let _guard = mutex.lock().unwrap_or_else(PoisonError::into_inner);
+                    panic!("injected store poison");
+                })
+                .join();
+        });
     }
 }
 
@@ -556,11 +342,10 @@ mod tests {
             .unwrap()
     }
 
-    fn stores() -> Vec<Arc<dyn SessionStore>> {
+    fn stores() -> Vec<SessionCacheHandle> {
         vec![
-            Arc::new(MutexSessionStore::new()),
-            Arc::new(ShardedSessionCache::new(1)),
-            Arc::new(ShardedSessionCache::new(7)),
+            SessionCacheHandle::sharded(1),
+            SessionCacheHandle::sharded(7),
         ]
     }
 
@@ -569,13 +354,14 @@ mod tests {
         let a = result_for(&[0, 4, 7]);
         let b = result_for(&[1]);
         for store in stores() {
-            assert!(store.is_empty(), "{}", store.name());
+            let shards = store.shard_count();
+            assert!(store.is_empty(), "{shards} shards");
             assert_eq!(store.lookup(&[0, 4, 7]), None);
             store.store(vec![0, 4, 7], a.clone());
             store.store(vec![1], b.clone());
             // First write wins; a duplicate store is a no-op.
             store.store(vec![0, 4, 7], b.clone());
-            assert_eq!(store.len(), 2, "{}", store.name());
+            assert_eq!(store.len(), 2, "{shards} shards");
             assert_eq!(store.lookup(&[0, 4, 7]), Some(a.clone()));
             assert_eq!(store.lookup(&[1]), Some(b.clone()));
             let stats = store.stats();
@@ -605,8 +391,8 @@ mod tests {
             assert_eq!(
                 store.stats().insertions,
                 keys.len() as u64,
-                "{}",
-                store.name()
+                "{} shards",
+                store.shard_count()
             );
             let found = store.lookup_batch(&keys);
             for ((slot, key), (_, expected)) in found.iter().zip(&keys).zip(&entries) {
@@ -618,11 +404,11 @@ mod tests {
 
     #[test]
     fn sharding_is_deterministic_and_covers_all_shards() {
-        let store = ShardedSessionCache::new(8);
+        let store = SessionCacheHandle::sharded(8);
         let mut used = [false; 8];
         for core in 0..64 {
-            let shard = store.shard_for(&[core]);
-            assert_eq!(shard, store.shard_for(&[core]), "stable per key");
+            let shard = store.inner.shard_for(&[core]);
+            assert_eq!(shard, store.inner.shard_for(&[core]), "stable per key");
             used[shard] = true;
         }
         assert!(
@@ -630,7 +416,7 @@ mod tests {
             "64 singleton keys should spread over at least half the shards"
         );
         // Zero shard requests are promoted to one.
-        assert_eq!(ShardedSessionCache::new(0).shard_count(), 1);
+        assert_eq!(SessionCacheHandle::sharded(0).shard_count(), 1);
     }
 
     #[test]
@@ -653,21 +439,18 @@ mod tests {
 
     #[test]
     fn handle_reports_its_backing_store() {
-        assert_eq!(SessionCacheHandle::new().store_name(), "mutex");
         assert_eq!(SessionCacheHandle::new().shard_count(), 1);
+        assert_eq!(SessionCacheHandle::default().shard_count(), 1);
         let sharded = SessionCacheHandle::sharded(6);
-        assert_eq!(sharded.store_name(), "sharded(6)");
         assert_eq!(sharded.shard_count(), 6);
-        assert_eq!(sharded.backing_store().shard_count(), 6);
-        let custom = SessionCacheHandle::with_store(Arc::new(MutexSessionStore::new()));
-        assert_eq!(custom.store_name(), "mutex");
+        assert_eq!(sharded.clone().shard_count(), 6);
     }
 
     #[test]
     fn poisoned_shard_recovers_and_leaves_other_shards_untouched() {
-        let store = Arc::new(ShardedSessionCache::new(4));
+        let store = SessionCacheHandle::sharded(4);
         let key = vec![0usize];
-        let shard = store.shard_for(&key);
+        let shard = store.inner.shard_for(&key);
         store.store(key.clone(), result_for(&[0]));
         // A second key landing in the *same* shard, to exercise writes
         // through the recovered lock. Keys must stay valid core sets of the
@@ -675,12 +458,12 @@ mod tests {
         let sibling = (1usize..15)
             .map(|core| vec![core])
             .chain((1usize..15).map(|core| vec![0, core]))
-            .find(|k| store.shard_for(k) == shard)
+            .find(|k| store.inner.shard_for(k) == shard)
             .expect("some small core set shares the shard");
         // Poison exactly that shard by panicking while its lock is held.
-        let poisoner = Arc::clone(&store);
+        let poisoner = store.clone();
         let _ = std::thread::spawn(move || {
-            let _guard = poisoner.shards[shard].lock().unwrap();
+            let _guard = poisoner.inner.shards[shard].lock().unwrap();
             panic!("deliberate poison");
         })
         .join();
@@ -704,17 +487,17 @@ mod tests {
 
     #[test]
     fn contended_shard_locks_are_counted() {
-        let store = Arc::new(ShardedSessionCache::new(2));
+        let store = SessionCacheHandle::sharded(2);
         let key = vec![3usize];
-        let shard = store.shard_for(&key);
+        let shard = store.inner.shard_for(&key);
         assert_eq!(store.stats().contended_locks, 0);
         // Hold the shard lock on this thread; the worker's lookup then
-        // provably finds it held. `lock_counting` bumps the contention
+        // provably finds it held. `Shards::lock` bumps the contention
         // counter *before* blocking on the lock, so waiting for the counter
         // to tick while still holding the guard is race-free — no sleeps,
         // no timing assumptions.
-        let guard = store.shards[shard].lock().unwrap();
-        let worker_store = Arc::clone(&store);
+        let guard = store.inner.shards[shard].lock().unwrap();
+        let worker_store = store.clone();
         let worker_key = key.clone();
         let worker = std::thread::spawn(move || worker_store.lookup(&worker_key));
         while store.stats().contended_locks == 0 {
@@ -746,13 +529,13 @@ mod tests {
             assert_eq!(
                 store.lookup(&[2]),
                 Some(result_for(&[2])),
-                "{}",
-                store.name()
+                "{} shards",
+                store.shard_count()
             );
             store.store(vec![3], result_for(&[3]));
             assert_eq!(store.len(), 2);
         }
-        // And through the handle.
+        // And through a shard count the loop does not cover.
         let handle = SessionCacheHandle::sharded(3);
         handle.store(vec![5], result_for(&[5]));
         handle.poison_shard(1);
@@ -761,12 +544,12 @@ mod tests {
 
     #[test]
     fn poisoned_locks_recover_instead_of_cascading() {
-        let store = Arc::new(MutexSessionStore::new());
+        let store = SessionCacheHandle::new();
         store.store(vec![1], result_for(&[1]));
-        let poisoner = Arc::clone(&store);
-        // Poison the mutex by panicking while it is held.
+        let poisoner = store.clone();
+        // Poison the single lock by panicking while it is held.
         let _ = std::thread::spawn(move || {
-            let _guard = poisoner.entries.lock().unwrap();
+            let _guard = poisoner.inner.shards[0].lock().unwrap();
             panic!("deliberate poison");
         })
         .join();

@@ -136,7 +136,7 @@ impl<'c> Executor<'c> {
                 } else {
                     config.backend.build(&scenario)?
                 };
-                let cache = config.store.handle();
+                let cache = SessionCacheHandle::sharded(config.store_shards);
                 self.slots.insert(
                     index,
                     Slot {
@@ -350,8 +350,7 @@ impl Tally {
         let executed = self.completed + self.failed + self.panicked + self.deadline_exceeded;
         ServiceStats {
             workers,
-            store_name: config.store.name(),
-            shard_count: config.store.shard_count(),
+            shard_count: config.store_shards,
             backend_name: config.backend.label(),
             operator_cache_enabled: config.operator_cache,
             operator_cache: self.setup.operator_cache,

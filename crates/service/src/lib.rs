@@ -14,9 +14,9 @@
 //! 2. **A concurrent job runner** ([`ServiceRunner`]): scoped worker threads
 //!    drain one job queue, each worker reuses one [`thermsched::Engine`] per
 //!    scenario, per-job errors and panics are isolated into the job's
-//!    [`JobOutcome`], and all jobs of a scenario share one session store —
-//!    either the single-lock mutex store or the N-way
-//!    [`thermsched::ShardedSessionCache`] ([`StoreKind`]).
+//!    [`JobOutcome`], and all jobs of a scenario share one session store, a
+//!    [`thermsched::SessionCacheHandle`] with
+//!    [`ServiceConfig::store_shards`] independently-locked shards.
 //! 3. **An aggregated report** ([`ServiceReport`]): deterministic per-job
 //!    results (identical at any worker count) plus run statistics —
 //!    throughput, cache hit rates, shard contention, latency percentiles
@@ -58,7 +58,7 @@
 //! # Example
 //!
 //! ```
-//! use thermsched_service::{ScenarioSpec, ServiceConfig, ServiceRunner, StoreKind};
+//! use thermsched_service::{ScenarioSpec, ServiceConfig, ServiceRunner};
 //!
 //! # fn main() -> Result<(), thermsched_service::ServiceError> {
 //! // Four 9..20-core systems, each scheduled at two STCL points.
@@ -73,7 +73,7 @@
 //! // one scenario may race on a cold store and both miss the warm cache.
 //! let runner = ServiceRunner::new(ServiceConfig {
 //!     workers: 1,
-//!     store: StoreKind::Sharded { shards: 8 },
+//!     store_shards: 8,
 //!     ..ServiceConfig::default()
 //! })?;
 //! let report = runner.run(&corpus)?;
@@ -109,7 +109,7 @@ pub use multiproc::{
     worker_serve, CrashPlan, MultiprocConfig, MultiprocCoordinator, PROTOCOL_VERSION,
 };
 pub use report::{JobMetrics, JobOutcome, JobResult, LatencyStats, ServiceReport, ServiceStats};
-pub use runner::{BackendKind, ServiceConfig, ServiceRunner, StoreKind};
+pub use runner::{BackendKind, ServiceConfig, ServiceRunner};
 pub use scenario::{Corpus, JobSpec, Scenario, ScenarioSpec, TraceFamily};
 
 /// Convenience result alias used throughout this crate.

@@ -53,8 +53,10 @@
 //! workers' decoding.
 //!
 //! `PROTOCOL_VERSION` 2 introduced `GROUP`; version 1 shipped the whole
-//! corpus in `HELLO` and one `JOB` frame per job. The `trace` flag and the
-//! FIN trace fields are optional (absent means "not tracing").
+//! corpus in `HELLO` and one `JOB` frame per job. Version 3 replaced the
+//! `HELLO` config's tagged `store` object with an integer `store_shards`.
+//! The `trace` flag and the FIN trace fields are optional (absent means
+//! "not tracing").
 //!
 //! The job index crosses the boundary because fault injection and retry
 //! jitter are keyed by the *global* corpus index — a worker that hashed its
@@ -82,7 +84,7 @@ use crate::{
 };
 
 /// Version of the coordinator↔worker protocol, checked in `HELLO`.
-pub const PROTOCOL_VERSION: u64 = 2;
+pub const PROTOCOL_VERSION: u64 = 3;
 
 /// Frame kinds of the coordinator↔worker protocol.
 const FRAME_HELLO: u8 = 1;

@@ -204,9 +204,6 @@ impl JobResult {
 pub struct ServiceStats {
     /// Worker threads the batch ran with.
     pub workers: usize,
-    /// Name of the shared session store backing each scenario
-    /// (`"mutex"`, `"sharded(8)"`, ...).
-    pub store_name: String,
     /// Shards per scenario store.
     pub shard_count: usize,
     /// Label of the thermal backend kind validating every job
@@ -449,8 +446,8 @@ impl ServiceStats {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "service report: {} jobs over {} scenarios, {} workers, {} store, {} backend",
-            s.job_count, s.scenario_count, s.workers, s.store_name, s.backend_name
+            "service report: {} jobs over {} scenarios, {} workers, sharded({}) store, {} backend",
+            s.job_count, s.scenario_count, s.workers, s.shard_count, s.backend_name
         );
         let _ = writeln!(
             out,
@@ -564,7 +561,6 @@ mod tests {
         ];
         let stats = ServiceStats {
             workers: 4,
-            store_name: "sharded(8)".to_owned(),
             shard_count: 8,
             backend_name: "rc-compact".to_owned(),
             operator_cache_enabled: true,

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-use thermsched::{OperatorKey, SessionCacheHandle};
+use thermsched::OperatorKey;
 use thermsched_obs::{MetricsRegistry, Tracer};
 use thermsched_thermal::{
     GridResolution, GridThermalSimulator, PackageConfig, RcThermalSimulator, ThermalBackend,
@@ -134,54 +134,16 @@ impl BackendKind {
     }
 }
 
-/// Which shared [`thermsched::SessionStore`] backs each scenario's session
-/// cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreKind {
-    /// One `Mutex` around one map — the pre-service store, kept as the
-    /// baseline the throughput benchmarks compare against.
-    Mutex,
-    /// An N-way sharded store ([`thermsched::ShardedSessionCache`]); wide
-    /// worker pools stop serialising on a single lock.
-    Sharded {
-        /// Number of independently-locked shards.
-        shards: usize,
-    },
-}
-
-impl StoreKind {
-    pub(crate) fn handle(self) -> SessionCacheHandle {
-        match self {
-            StoreKind::Mutex => SessionCacheHandle::new(),
-            StoreKind::Sharded { shards } => SessionCacheHandle::sharded(shards),
-        }
-    }
-
-    /// Short name matching `SessionStore::name` of the store [`Self::handle`]
-    /// builds (`"mutex"`, `"sharded(8)"`).
-    pub fn name(self) -> String {
-        match self {
-            StoreKind::Mutex => "mutex".to_owned(),
-            StoreKind::Sharded { shards } => format!("sharded({})", shards.max(1)),
-        }
-    }
-
-    /// Shards of the store [`Self::handle`] builds.
-    pub fn shard_count(self) -> usize {
-        match self {
-            StoreKind::Mutex => 1,
-            StoreKind::Sharded { shards } => shards.max(1),
-        }
-    }
-}
-
 /// Configuration of a [`ServiceRunner`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceConfig {
     /// Worker threads draining the job queue.
     pub workers: usize,
-    /// Shared session store every scenario's jobs publish to and read from.
-    pub store: StoreKind,
+    /// Independently-locked shards of the session store every scenario's
+    /// jobs publish to and read from
+    /// ([`thermsched::SessionCacheHandle::sharded`]). One shard is a single
+    /// lock; more let wide worker pools stop serialising on it. At least 1.
+    pub store_shards: usize,
     /// Thermal backend validating every job.
     pub backend: BackendKind,
     /// Whether scenarios sharing a grid shape share one backend instance
@@ -226,7 +188,7 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            store: StoreKind::Sharded { shards: 8 },
+            store_shards: 8,
             backend: BackendKind::default(),
             operator_cache: true,
             batch_same_shape: true,
@@ -242,7 +204,7 @@ impl ServiceConfig {
     /// Validates every field; shared by [`ServiceRunner::new`] and the
     /// streaming [`crate::Frontend`].
     pub(crate) fn validate(&self) -> Result<()> {
-        if let StoreKind::Sharded { shards: 0 } = self.store {
+        if self.store_shards == 0 {
             return Err(ServiceError::InvalidSpec {
                 field: "shards",
                 problem: "must be at least 1",
@@ -305,7 +267,7 @@ impl ServiceConfig {
 /// # Example
 ///
 /// ```
-/// use thermsched_service::{ScenarioSpec, ServiceConfig, ServiceRunner, StoreKind};
+/// use thermsched_service::{ScenarioSpec, ServiceConfig, ServiceRunner};
 ///
 /// # fn main() -> Result<(), thermsched_service::ServiceError> {
 /// let corpus = ScenarioSpec {
@@ -315,7 +277,7 @@ impl ServiceConfig {
 /// .build()?;
 /// let runner = ServiceRunner::new(ServiceConfig {
 ///     workers: 2,
-///     store: StoreKind::Sharded { shards: 4 },
+///     store_shards: 4,
 ///     ..ServiceConfig::default()
 /// })?;
 /// let report = runner.run(&corpus)?;
@@ -437,21 +399,17 @@ mod tests {
         let corpus = small_spec().build().unwrap();
         let reference = ServiceRunner::new(ServiceConfig {
             workers: 1,
-            store: StoreKind::Mutex,
+            store_shards: 1,
             ..ServiceConfig::default()
         })
         .unwrap()
         .run(&corpus)
         .unwrap();
         assert_eq!(reference.stats().completed, corpus.jobs().len());
-        for (workers, store) in [
-            (3, StoreKind::Mutex),
-            (1, StoreKind::Sharded { shards: 4 }),
-            (3, StoreKind::Sharded { shards: 4 }),
-        ] {
+        for (workers, store_shards) in [(3, 1), (1, 4), (3, 4)] {
             let report = ServiceRunner::new(ServiceConfig {
                 workers,
-                store,
+                store_shards,
                 ..ServiceConfig::default()
             })
             .unwrap()
@@ -460,7 +418,7 @@ mod tests {
             assert_eq!(
                 report.jobs(),
                 reference.jobs(),
-                "{workers} workers, {store:?}"
+                "{workers} workers, {store_shards} shards"
             );
             assert_eq!(report.render_jobs(), reference.render_jobs());
         }
@@ -491,7 +449,7 @@ mod tests {
         assert_eq!(reference.stats().completed, corpus.jobs().len());
         let parallel = ServiceRunner::new(ServiceConfig {
             workers: 3,
-            store: StoreKind::Sharded { shards: 4 },
+            store_shards: 4,
             ..ServiceConfig::default()
         })
         .unwrap()
@@ -531,7 +489,7 @@ mod tests {
         let corpus = small_spec().build().unwrap();
         let report = ServiceRunner::new(ServiceConfig {
             workers: 1,
-            store: StoreKind::Sharded { shards: 8 },
+            store_shards: 8,
             ..ServiceConfig::default()
         })
         .unwrap()
@@ -545,7 +503,7 @@ mod tests {
         );
         assert!(report.stats().store.hits >= report.stats().warm_cache_hits as u64);
         assert_eq!(report.stats().shard_count, 8);
-        assert_eq!(report.stats().store_name, "sharded(8)");
+        assert!(report.render_summary().contains(", sharded(8) store, "));
         assert!(report.stats().jobs_per_second > 0.0);
     }
 
@@ -563,7 +521,7 @@ mod tests {
         .unwrap();
         let report = ServiceRunner::new(ServiceConfig {
             workers: 2,
-            store: StoreKind::Sharded { shards: 2 },
+            store_shards: 2,
             ..ServiceConfig::default()
         })
         .unwrap()
@@ -752,23 +710,11 @@ mod tests {
     }
 
     #[test]
-    fn store_kind_names_match_their_handles() {
-        for kind in [
-            StoreKind::Mutex,
-            StoreKind::Sharded { shards: 1 },
-            StoreKind::Sharded { shards: 8 },
-        ] {
-            assert_eq!(kind.name(), kind.handle().store_name());
-            assert_eq!(kind.shard_count(), kind.handle().shard_count());
-        }
-    }
-
-    #[test]
     fn invalid_runner_configurations_are_rejected() {
         assert!(matches!(
             ServiceRunner::new(ServiceConfig {
                 workers: 0,
-                store: StoreKind::Mutex,
+                store_shards: 1,
                 ..ServiceConfig::default()
             }),
             Err(ServiceError::InvalidSpec {
@@ -779,7 +725,7 @@ mod tests {
         assert!(matches!(
             ServiceRunner::new(ServiceConfig {
                 workers: 1,
-                store: StoreKind::Sharded { shards: 0 },
+                store_shards: 0,
                 ..ServiceConfig::default()
             }),
             Err(ServiceError::InvalidSpec {

@@ -17,7 +17,7 @@ use thermsched_wire::{obj, JsonValue, Result, Wire, WireError};
 use crate::{
     BackendKind, ClockKind, Corpus, FaultPlan, JobMetrics, JobOutcome, JobResult, JobSpec,
     LatencyStats, Rejected, RetryPolicy, Scenario, ScenarioSpec, ServiceConfig, ServiceReport,
-    ServiceStats, ShedCause, StoreKind, TraceFamily,
+    ServiceStats, ShedCause, TraceFamily,
 };
 use thermsched::{CoreOrdering, OperatorCacheStats, SchedulerConfig, StoreStats, TraceProfile};
 use thermsched_soc::SystemUnderTest;
@@ -300,34 +300,6 @@ impl Wire for BackendKind {
     }
 }
 
-impl Wire for StoreKind {
-    const WIRE_TYPE: &'static str = "store_kind";
-
-    fn to_wire(&self) -> JsonValue {
-        match self {
-            StoreKind::Mutex => obj().field("kind", "mutex").build(),
-            StoreKind::Sharded { shards } => obj()
-                .field("kind", "sharded")
-                .field("shards", *shards)
-                .build(),
-        }
-    }
-
-    fn from_wire(value: &JsonValue) -> Result<Self> {
-        const T: &str = "store_kind";
-        match value.field_str(T, "kind")? {
-            "mutex" => Ok(StoreKind::Mutex),
-            "sharded" => Ok(StoreKind::Sharded {
-                shards: value.field_usize(T, "shards")?,
-            }),
-            other => Err(WireError::UnknownVariant {
-                type_name: T,
-                variant: other.to_owned(),
-            }),
-        }
-    }
-}
-
 impl Wire for ClockKind {
     const WIRE_TYPE: &'static str = "clock_kind";
 
@@ -418,7 +390,7 @@ impl Wire for ServiceConfig {
     fn to_wire(&self) -> JsonValue {
         obj()
             .field("workers", self.workers)
-            .field("store", self.store.to_wire())
+            .field("store_shards", self.store_shards)
             .field("backend", self.backend.to_wire())
             .field("operator_cache", self.operator_cache)
             .field("batch_same_shape", self.batch_same_shape)
@@ -433,7 +405,7 @@ impl Wire for ServiceConfig {
         const T: &str = "service_config";
         let config = ServiceConfig {
             workers: value.field_usize(T, "workers")?,
-            store: StoreKind::from_wire(value.field(T, "store")?)?,
+            store_shards: value.field_usize(T, "store_shards")?,
             backend: BackendKind::from_wire(value.field(T, "backend")?)?,
             operator_cache: value.field_bool(T, "operator_cache")?,
             batch_same_shape: value.field_bool(T, "batch_same_shape")?,
@@ -681,7 +653,6 @@ impl Wire for ServiceStats {
     fn to_wire(&self) -> JsonValue {
         obj()
             .field("workers", self.workers)
-            .field("store_name", self.store_name.as_str())
             .field("shard_count", self.shard_count)
             .field("backend_name", self.backend_name.as_str())
             .field("operator_cache_enabled", self.operator_cache_enabled)
@@ -711,7 +682,6 @@ impl Wire for ServiceStats {
         const T: &str = "service_stats";
         Ok(ServiceStats {
             workers: value.field_usize(T, "workers")?,
-            store_name: value.field_str(T, "store_name")?.to_owned(),
             shard_count: value.field_usize(T, "shard_count")?,
             backend_name: value.field_str(T, "backend_name")?.to_owned(),
             operator_cache_enabled: value.field_bool(T, "operator_cache_enabled")?,
@@ -923,17 +893,13 @@ mod tests {
                 time_step: 1e-3,
             },
         ] {
-            for (store, clock, deadline) in [
-                (StoreKind::Mutex, ClockKind::Wall, None),
-                (
-                    StoreKind::Sharded { shards: 8 },
-                    ClockKind::Virtual,
-                    Some(12.5),
-                ),
+            for (store_shards, clock, deadline) in [
+                (1, ClockKind::Wall, None),
+                (8, ClockKind::Virtual, Some(12.5)),
             ] {
                 let config = ServiceConfig {
                     workers: 3,
-                    store,
+                    store_shards,
                     backend,
                     faults: FaultPlan {
                         seed: 9,
@@ -985,6 +951,45 @@ mod tests {
                 ..
             })
         ));
+
+        // A zero shard count fails validation on decode.
+        let zero_shards = ServiceConfig {
+            store_shards: 0,
+            ..ServiceConfig::default()
+        }
+        .to_wire();
+        assert!(matches!(
+            ServiceConfig::from_wire(&zero_shards),
+            Err(WireError::Invalid {
+                type_name: "service_config",
+                ..
+            })
+        ));
+        // A config written before `store_shards` replaced the tagged
+        // `store` object decodes to a missing field in either codec, not a
+        // panic.
+        let mut old = ServiceConfig::default().to_wire();
+        if let JsonValue::Object(entries) = &mut old {
+            for (key, value) in entries.iter_mut() {
+                if key == "store_shards" {
+                    *key = "store".to_owned();
+                    *value = obj().field("kind", "mutex").build();
+                }
+            }
+        }
+        for decoded in [
+            ServiceConfig::from_wire(&old),
+            ServiceConfig::from_json(&old.render_pretty().unwrap()),
+            ServiceConfig::from_binary(&thermsched_wire::encode_value(&old).unwrap()),
+        ] {
+            assert!(matches!(
+                decoded,
+                Err(WireError::MissingField {
+                    type_name: "service_config",
+                    field: "store_shards",
+                })
+            ));
+        }
     }
 
     #[test]
@@ -1035,11 +1040,11 @@ mod tests {
 
     #[test]
     fn a_real_report_roundtrips_bit_exactly() {
-        use crate::{ServiceRunner, StoreKind};
+        use crate::ServiceRunner;
         let corpus = spec().build().unwrap();
         let report = ServiceRunner::new(ServiceConfig {
             workers: 2,
-            store: StoreKind::Sharded { shards: 4 },
+            store_shards: 4,
             ..ServiceConfig::default()
         })
         .unwrap()

@@ -18,7 +18,7 @@ use std::time::Duration;
 use thermsched_service::{
     BackendKind, ClockKind, FaultPlan, Frontend, FrontendConfig, JobOutcome, JobResult,
     MultiprocConfig, MultiprocCoordinator, Priority, Rejected, RetryPolicy, ScenarioSpec,
-    ServiceConfig, ServiceReport, ServiceRunner, ServiceStats, StoreKind, Submission,
+    ServiceConfig, ServiceReport, ServiceRunner, ServiceStats, Submission,
 };
 use thermsched_wire::{JsonValue, Wire};
 
@@ -40,7 +40,7 @@ fn faulted_batches_are_byte_identical_across_worker_counts_and_runs() {
     };
     let config = |workers: usize| ServiceConfig {
         workers,
-        store: StoreKind::Sharded { shards: 8 },
+        store_shards: 8,
         faults: FaultPlan {
             seed: 2026,
             panic_rate: 0.1,
@@ -103,7 +103,7 @@ fn poisoned_shards_mid_batch_do_not_change_results_under_the_prewarmer() {
     };
     let config = |workers: usize, poison: bool| ServiceConfig {
         workers,
-        store: StoreKind::Sharded { shards: 8 },
+        store_shards: 8,
         backend: BackendKind::GridTransient { cells_per_core: 3 },
         batch_same_shape: true,
         faults: FaultPlan {

@@ -1,17 +1,15 @@
 //! Concurrency and determinism contract of the batch-scheduling service:
 //!
 //! * the same seeded corpus must produce byte-identical per-job results at
-//!   1, 4 and 8 workers, with either session store backing the scenarios;
-//! * the `ShardedSessionCache` must behave exactly like the single-lock
-//!   `MutexSessionStore` under a multi-threaded hammer (same final
-//!   contents, first write wins per key), without locks poisoning out from
-//!   under surviving threads.
+//!   1, 4 and 8 workers, with a single-lock or an 8-shard session store
+//!   backing the scenarios;
+//! * an 8-shard store must behave exactly like a single-lock one under a
+//!   multi-threaded hammer (same final contents, first write wins per key),
+//!   without locks poisoning out from under surviving threads.
 
-use std::sync::Arc;
-
-use thermsched::{MutexSessionStore, SessionStore, ShardedSessionCache};
+use thermsched::SessionCacheHandle;
 use thermsched_service::{
-    BackendKind, JobOutcome, ScenarioSpec, ServiceConfig, ServiceReport, ServiceRunner, StoreKind,
+    BackendKind, JobOutcome, ScenarioSpec, ServiceConfig, ServiceReport, ServiceRunner,
 };
 use thermsched_thermal::{SessionThermalResult, Temperatures};
 
@@ -24,11 +22,11 @@ fn corpus_spec() -> ScenarioSpec {
     }
 }
 
-fn run(workers: usize, store: StoreKind) -> ServiceReport {
+fn run(workers: usize, store_shards: usize) -> ServiceReport {
     let corpus = corpus_spec().build().expect("spec is valid");
     ServiceRunner::new(ServiceConfig {
         workers,
-        store,
+        store_shards,
         ..ServiceConfig::default()
     })
     .expect("config is valid")
@@ -38,7 +36,7 @@ fn run(workers: usize, store: StoreKind) -> ServiceReport {
 
 #[test]
 fn per_job_results_are_byte_identical_across_worker_counts_and_stores() {
-    let reference = run(1, StoreKind::Mutex);
+    let reference = run(1, 1);
     assert_eq!(
         reference.stats().completed,
         reference.stats().job_count,
@@ -49,12 +47,12 @@ fn per_job_results_are_byte_identical_across_worker_counts_and_stores() {
     assert!(!reference_table.is_empty());
 
     for workers in [4, 8] {
-        for store in [StoreKind::Mutex, StoreKind::Sharded { shards: 8 }] {
-            let report = run(workers, store);
+        for shards in [1, 8] {
+            let report = run(workers, shards);
             assert_eq!(
                 report.jobs(),
                 reference.jobs(),
-                "{workers} workers over {store:?} changed a job result"
+                "{workers} workers over {shards} shards changed a job result"
             );
             assert_eq!(report.render_jobs(), reference_table);
             assert_eq!(report.stats().workers, workers);
@@ -66,7 +64,7 @@ fn per_job_results_are_byte_identical_across_worker_counts_and_stores() {
 fn shard_count_is_invariant_with_the_same_shape_batcher_active() {
     // PR-6 invariant: the prewarmer publishes multi-RHS results through the
     // same `store_batch` contract the workers use, so the shard layout of
-    // the `ShardedSessionCache` must stay irrelevant to job results while
+    // the session store must stay irrelevant to job results while
     // batching is on — and turning batching off must not matter either.
     let corpus = ScenarioSpec {
         seed: 777,
@@ -77,14 +75,10 @@ fn shard_count_is_invariant_with_the_same_shape_batcher_active() {
     }
     .build()
     .expect("spec is valid");
-    let run = |shards: usize, batch: bool| {
+    let run = |store_shards: usize, batch: bool| {
         ServiceRunner::new(ServiceConfig {
             workers: 4,
-            store: if shards == 0 {
-                StoreKind::Mutex
-            } else {
-                StoreKind::Sharded { shards }
-            },
+            store_shards,
             backend: BackendKind::GridTransient { cells_per_core: 3 },
             batch_same_shape: batch,
             ..ServiceConfig::default()
@@ -93,7 +87,7 @@ fn shard_count_is_invariant_with_the_same_shape_batcher_active() {
         .run(&corpus)
         .expect("batch runs")
     };
-    let reference = run(0, true);
+    let reference = run(1, true);
     assert_eq!(reference.stats().completed, reference.stats().job_count);
     assert_eq!(
         reference.stats().prewarmed_sessions,
@@ -116,7 +110,7 @@ fn shard_count_is_invariant_with_the_same_shape_batcher_active() {
 
 #[test]
 fn completed_jobs_respect_their_effective_temperature_limits() {
-    let report = run(4, StoreKind::Sharded { shards: 8 });
+    let report = run(4, 8);
     for job in report.jobs() {
         match &job.outcome {
             JobOutcome::Completed(metrics) => {
@@ -162,19 +156,16 @@ fn stress_keys() -> Vec<Vec<usize>> {
 
 #[test]
 fn sharded_store_matches_the_mutex_store_under_a_scoped_thread_hammer() {
-    let sharded = Arc::new(ShardedSessionCache::new(8));
-    let mutex = Arc::new(MutexSessionStore::new());
+    let sharded = SessionCacheHandle::sharded(8);
+    let mutex = SessionCacheHandle::sharded(1);
     let keys = stress_keys();
     let threads = 8;
     let rounds = 30;
 
-    for store in [
-        Arc::clone(&sharded) as Arc<dyn SessionStore>,
-        Arc::clone(&mutex) as Arc<dyn SessionStore>,
-    ] {
+    for store in [sharded.clone(), mutex.clone()] {
         std::thread::scope(|scope| {
             for t in 0..threads {
-                let store = Arc::clone(&store);
+                let store = store.clone();
                 let keys = &keys;
                 scope.spawn(move || {
                     for round in 0..rounds {

@@ -8,7 +8,7 @@ use thermsched::TraceProfile;
 use thermsched_floorplan::library as fp_library;
 use thermsched_service::{
     Corpus, MultiprocConfig, MultiprocCoordinator, ScenarioSpec, ServiceConfig, ServiceRunner,
-    StoreKind, TraceFamily,
+    TraceFamily,
 };
 use thermsched_thermal::{
     GridResolution, GridThermalSimulator, PackageConfig, PowerMap, PowerTrace, RcThermalSimulator,
@@ -161,7 +161,7 @@ fn jobs_bytes(config: ServiceConfig, corpus: &Corpus) -> String {
 
 /// The service's byte-identity contract extends to online corpora: traced
 /// and warm-started per-job results are byte-identical at 1, 4 and 8
-/// workers, across store kinds.
+/// workers, across shard counts.
 #[test]
 fn online_per_job_results_are_byte_identical_across_worker_counts() {
     let corpus = online_corpus();
@@ -177,7 +177,7 @@ fn online_per_job_results_are_byte_identical_across_worker_counts() {
         let bytes = jobs_bytes(
             ServiceConfig {
                 workers,
-                store: StoreKind::Sharded { shards: 4 },
+                store_shards: 4,
                 ..ServiceConfig::default()
             },
             &corpus,

@@ -21,7 +21,7 @@ use thermsched::{
 use thermsched_floorplan::{Block, Floorplan};
 use thermsched_service::{
     BackendKind, ClockKind, FaultPlan, JobMetrics, JobOutcome, JobResult, LatencyStats, Rejected,
-    RetryPolicy, ScenarioSpec, ServiceConfig, ServiceRunner, ShedCause, StoreKind,
+    RetryPolicy, ScenarioSpec, ServiceConfig, ServiceRunner, ShedCause,
 };
 use thermsched_soc::{library as soc_library, GeneratorConfig, SocGenerator, SystemUnderTest};
 use thermsched_thermal::{Material, PackageConfig, PowerMap};
@@ -297,13 +297,13 @@ proptest! {
         roundtrip_eq(&OperatorCacheStats { hits: a, misses: c })?;
     }
 
-    /// Service configuration: every backend/store/clock kind, fault plans
-    /// and retry policies with randomized (valid) parameters.
+    /// Service configuration: every backend and clock kind, store shard
+    /// counts, fault plans and retry policies with randomized (valid)
+    /// parameters.
     #[test]
     fn service_configs_roundtrip(
         workers in 1usize..9,
-        shards in 0usize..2,
-        shard_count in 1usize..33,
+        store_shards in 1usize..33,
         backend_sel in 0u64..=u64::MAX,
         cells in 1usize..5,
         dt in 0.001f64..0.1,
@@ -331,11 +331,7 @@ proptest! {
         };
         let config = ServiceConfig {
             workers,
-            store: if shards == 0 {
-                StoreKind::Mutex
-            } else {
-                StoreKind::Sharded { shards: shard_count }
-            },
+            store_shards,
             backend: backend_kind(backend_sel, cells, dt),
             operator_cache: seed % 2 == 0,
             batch_same_shape: seed % 3 == 0,
@@ -347,7 +343,6 @@ proptest! {
         roundtrip_eq(&faults)?;
         roundtrip_eq(&retry)?;
         roundtrip_eq(&config.backend)?;
-        roundtrip_eq(&config.store)?;
         roundtrip_eq(&config.clock)?;
         roundtrip_eq(&config)?;
     }
